@@ -4,12 +4,13 @@ the level-1 and level-9 form algebras, and parity-density experiments."""
 from .f2series import F2Series, add, mul, power, square, substitute_qk
 from .genforms import (CongruenceTheta, EtaPowerParams, c_series,
                        congruence_theta, delta_series, eta_product_pnt,
-                       f_series, p_r_series)
+                       f_series, p_r_progression, p_r_series,
+                       triangular_theta)
 from .hecke import HeckeOpSpec, t_op, u_op, v_op
 from .level1 import (CodeMatrix, DyadicRational, GenPoly, code_matrix,
                      dihedral_density, genpoly_series, hecke_on_genpoly,
                      is_dihedral_window, to_genpoly)
-from .density import (DensityEstimate, PrecisionError, PrimeSieve,
+from .density import (DensityEstimate, EmptyScanError, PrecisionError, PrimeSieve,
                       SubseqIndex, eta_density_decomposition,
                       eta_density_direct, eta_density_exact,
                       eta_density_formula, mu_delta, odd_coeff_density,

@@ -25,7 +25,6 @@ from .level9 import ABELIAN_CLASSES, abelian_form
 class RunConfig:
     """Numeric defaults for the full-scale density run, in one place."""
 
-    precision: int = 2_400_000
     prime_bound: int = 100_000
     coeffs: int = 100
     walk_n: int = 1_000_000
@@ -41,14 +40,30 @@ def _parse_r_spec(spec: str) -> list[int]:
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    if not out or min(out) < 1:
+        lo, sep, hi = part.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise ValueError(f"bad r value {part!r}; use a, a..b or a,b,c") from None
+        if lo > hi:
+            raise ValueError(f"r range {part!r} is empty")
+        out.extend(range(lo, hi + 1))
+    if min(out) < 1:
         raise ValueError("r values must be positive")
     return out
+
+
+def _at_least(low: int):
+    """An argparse type for integers no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _expand_series(form: str, n: int):
@@ -168,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="print the support of a form")
     p_expand.add_argument("form", help="delta|C|F|P:r|alpha:i|pnt")
-    p_expand.add_argument("--coeffs", type=int, default=DEFAULTS.coeffs)
+    p_expand.add_argument("--coeffs", type=_at_least(1), default=DEFAULTS.coeffs)
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
     p_expand.set_defaults(func=cmd_expand)
 
@@ -180,18 +195,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--format", choices=("csv", "json", "text"),
                            default="text")
     p_density.add_argument("--out", default=None)
-    p_density.add_argument("--threads", type=int, default=DEFAULTS.threads)
+    p_density.add_argument("--threads", type=_at_least(1), default=DEFAULTS.threads)
     p_density.set_defaults(func=cmd_density)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True,
                           help=f"one of {sorted(suites.SUITES)} or 'all'")
-    p_verify.add_argument("--prime-bound", type=int, default=None)
+    p_verify.add_argument("--prime-bound", type=_at_least(suites.MIN_PRIME_BOUND),
+                          default=None,
+                          help="for the suites that scan primes; at least "
+                               f"{suites.MIN_PRIME_BOUND}")
     p_verify.set_defaults(func=cmd_verify)
 
     p_walk = sub.add_parser("walk", help="emit a parity random walk as CSV")
     p_walk.add_argument("--kind", choices=walks.WALK_KINDS, default="all")
-    p_walk.add_argument("--n", type=int, default=DEFAULTS.walk_n)
+    p_walk.add_argument("--n", type=_at_least(1), default=DEFAULTS.walk_n)
     p_walk.add_argument("--out", required=True)
     p_walk.set_defaults(func=cmd_walk)
     return parser

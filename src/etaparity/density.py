@@ -3,18 +3,23 @@
 Two empirical routes to the eta-power parity density, one exact route
 where a closed form is proven:
 
-* direct: build P_r to b_r + m_r * prime_bound coefficients and read, for
-  each prime ell, the bit at exponent ell * mu(ell, r) — the leading formal
-  coefficient of the ell-shifted series;
+* direct: for each prime ell, the bit of P_r at exponent ell * mu(ell, r),
+  the leading formal coefficient of the ell-shifted series;
 * by parts: decompose the density as a sum of coefficient densities of Hecke
   shifts of the generator power (the shift indices depend only on m_r),
   each estimated by reading bits at u * ell;
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
   the two dihedral families, and the handful of abelian eta powers.
 
-Primes 2 and 3 are excluded from every scan (congruence obstructions).
-Estimates carry binomial statistics; acceptance tolerance is
-max(0.02, 4 sigma) throughout.
+Both empirical routes read P_r = q^(b_r) * Q_r(q^(m_r)) through Q_r (see
+``genforms``): the bit of P_r at e is bit (e - b_r)/m_r of Q_r when
+e ≡ b_r (mod m_r) and e >= b_r, and zero otherwise.  Every bit either route
+reads lies below prime_bound + 1 in Q_r, which is what one cache of Q_r per
+r holds, in place of b_r + m_r * prime_bound coefficients of P_r.
+
+Primes 2 and 3 are excluded from every scan (congruence obstructions); a
+scan over no primes at all raises ``EmptyScanError``.  Estimates carry
+binomial statistics; acceptance tolerance is max(0.02, 4 sigma) throughout.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .f2series import F2Series
-from .genforms import EtaPowerParams, p_r_series
+from .genforms import (EtaPowerParams, p_r_progression, progression_length,
+                       progression_view)
 from .hecke import HeckeOpSpec, is_prime
 from .level1 import DyadicRational
 
@@ -37,6 +43,10 @@ MAX_LOG_DENOMINATOR = 6
 
 class PrecisionError(ValueError):
     """A scan asked for coefficients beyond a series' valid length."""
+
+
+class EmptyScanError(ValueError):
+    """A density scan would cover no primes, so it could estimate nothing."""
 
 
 class PrimeSieve:
@@ -142,14 +152,12 @@ class DensityEstimate:
 
     @classmethod
     def from_counts(cls, hits: int, samples: int, prime_bound: int) -> "DensityEstimate":
-        value = hits / samples if samples else 0.0
+        value = hits / samples
         near = DyadicRational.nearest(value, MAX_LOG_DENOMINATOR)
         return cls(hits, samples, prime_bound, value, near, abs(value - near.value))
 
     @property
     def sigma(self) -> float:
-        if self.samples == 0:
-            return 0.0
         return math.sqrt(self.value * (1.0 - self.value) / self.samples)
 
     @property
@@ -162,6 +170,10 @@ def _scan_primes(prime_bound: int, progression=None) -> np.ndarray:
     if progression is not None:
         modulus, residue = progression
         primes = primes[primes % modulus == residue % modulus]
+    if not len(primes):
+        raise EmptyScanError(
+            f"a scan to prime bound {prime_bound} covers no primes ell >= 5"
+            + (f" in the class {residue} mod {modulus}" if progression else ""))
     return primes
 
 
@@ -196,38 +208,40 @@ def odd_coeff_density_shifted(f: F2Series, p: int, prime_bound: int,
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
-_pr_lock = threading.Lock()
-_pr_cache: dict[int, F2Series] = {}
+_progression_lock = threading.Lock()
+_progression_cache: dict[int, F2Series] = {}
 
 
-def eta_power_series(r: int, n: int) -> F2Series:
-    """P_r to >= n coefficients, cached at the largest precision seen."""
-    with _pr_lock:
-        got = _pr_cache.get(r)
+def progression_series(r: int, n: int) -> F2Series:
+    """Q_r to >= n coefficients, cached by r at the largest precision seen."""
+    with _progression_lock:
+        got = _progression_cache.get(r)
     if got is None or got.valid_len < n:
-        got = p_r_series(r, n)
-        with _pr_lock:
-            prev = _pr_cache.get(r)
+        got = p_r_progression(r, n)
+        with _progression_lock:
+            prev = _progression_cache.get(r)
             if prev is None or prev.valid_len < got.valid_len:
-                _pr_cache[r] = got
+                _progression_cache[r] = got
             else:
                 got = prev
     return got
 
 
-def _direct_precision(r: int, prime_bound: int) -> int:
+def eta_power_series(r: int, n: int) -> F2Series:
+    """P_r to n coefficients, viewed from the cached Q_r."""
     params = EtaPowerParams.for_power(r)
-    return params.b_r + params.m_r * prime_bound + 1
+    return progression_view(progression_series(r, progression_length(params, n)),
+                            params, n)
 
 
 def eta_density_direct(r: int, prime_bound: int) -> DensityEstimate:
     """The parity density read straight off the eta power: the bit at
-    exponent ell*mu for each prime ell."""
+    exponent ell*mu for each prime ell, which is bit (ell*mu - b_r)/m_r of Q_r."""
     params = EtaPowerParams.for_power(r)
-    series = eta_power_series(r, _direct_precision(r, prime_bound))
     primes = _scan_primes(prime_bound)
+    series = progression_series(r, prime_bound + 1)
     nu = primes * _mu_array(primes, params.m_r, params.b_r)
-    hits = int(series.coeffs_at(nu).sum())
+    hits = int(series.coeffs_at((nu - params.b_r) // params.m_r).sum())
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
@@ -278,19 +292,22 @@ def eta_density_decomposition(r: int) -> EtaDecomposition:
 
 
 def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density summed over its decomposition into shifted scans."""
+    """The parity density summed over its decomposition into shifted scans.
+
+    The shift by u reads a_{u*ell}(P_r) for every prime ell; only the primes
+    with u*ell ≡ b_r (mod m_r) and u*ell >= b_r can hit, at bit
+    (u*ell - b_r)/m_r of Q_r.
+    """
     decomp = eta_density_decomposition(r)
-    series = eta_power_series(r, _direct_precision(r, prime_bound))
+    m, b = decomp.m_r, decomp.b_r
+    primes = _scan_primes(prime_bound)
+    series = progression_series(r, prime_bound + 1)
     hits = 0
-    samples = None
     for op, _ in decomp.terms:
-        if op is None:
-            est = odd_coeff_density(series, prime_bound)
-        else:
-            est = odd_coeff_density_shifted(series, op.index, prime_bound)
-        hits += est.hits
-        samples = est.samples
-    return DensityEstimate.from_counts(hits, samples, prime_bound)
+        exps = primes if op is None else op.index * primes
+        exps = exps[(exps % m == b % m) & (exps >= b)]
+        hits += int(series.coeffs_at((exps - b) // m).sum())
+    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
 def _zn(n: int) -> int:

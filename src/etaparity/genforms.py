@@ -6,10 +6,20 @@ The three theta-type generators, as mod-2 q-expansions:
     C:     sum of q^(n^2) over odd n, 3 ∤ n     (weight-4 level-9 cusp form)
     F:     sum of q^(n^2) over 3 ∤ n            (level 9 generator)
 
-The normalized eta power for exponent r is supported on b_r mod m_r
-and reduces mod 2 to delta^(b_r) when 3 | r, C^(b_r) otherwise; that
-generator-power route is how ``p_r_series`` computes it (the 24-fold eta
-product only appears as a test oracle).
+The normalized eta power for exponent r reduces mod 2 to delta^(b_r) when
+3 | r and to C^(b_r) otherwise, so it is supported on b_r mod m_r:
+
+    P_r(q) = q^(b_r) * Q_r(q^(m_r)).
+
+Each generator is g(q) = q * h(q^s): delta = q * T(q^8) with T the
+triangular theta sum of x^(k(k+1)/2), and C = q * pnt(q^24) with pnt the
+pentagonal series of prod (1 - x^k).  Hence, in the progression variable
+x = q^(m_r) and by the Frobenius identity h^(2^i)(x) = h(x^(2^i)),
+
+    Q_r(x) = h(x^(s/m_r))^(b_r) = prod over i in bits(b_r) of h(x^((s/m_r) 2^i)).
+
+``p_r_progression`` builds Q_r from that product, and ``p_r_series`` is its
+view in q: n coefficients of P_r need only about n/m_r coefficients of Q_r.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2series import F2Series, power
+from .f2series import F2Series, mul, substitute_qk
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,59 @@ def eta_product_pnt(n: int) -> F2Series:
     return F2Series.from_support(supp, n)
 
 
+def triangular_theta(n: int) -> F2Series:
+    """T = sum of x^(k(k+1)/2) over k >= 0, below n; delta = q * T(q^8)."""
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    ks = np.arange(0, math.isqrt(8 * (n - 1) + 1) // 2 + 1, dtype=np.int64)
+    tri = ks * (ks + 1) // 2
+    return F2Series.from_support(tri[tri < n], n)
+
+
+def progression_length(params: EtaPowerParams, n: int) -> int:
+    """Coefficients of Q_r covering the exponents of P_r below n (at least one)."""
+    return max(1, -(-(n - params.b_r) // params.m_r))
+
+
+def p_r_progression(r: int, n: int) -> F2Series:
+    """First n coefficients of Q_r, where P_r(q) = q^(b_r) * Q_r(q^(m_r)).
+
+    Multiplies the dilated factors h(x^(k 2^i)) for the bits i of b_r,
+    densest first, so every product XOR-shifts the accumulated series
+    across a sparse factor; factors with k 2^i >= n are 1 to this precision.
+    """
+    params = EtaPowerParams.for_power(r)
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    h, s = (triangular_theta, 8) if r % 3 == 0 else (eta_product_pnt, 24)
+    acc = F2Series.one(n)
+    for i in range(params.b_r.bit_length()):
+        k = (s // params.m_r) << i
+        if params.b_r >> i & 1 and k < n:
+            acc = mul(acc, substitute_qk(h(-(-n // k)), k, n), n)
+    return acc
+
+
+def progression_view(prog: F2Series, params: EtaPowerParams, n: int) -> F2Series:
+    """First n coefficients of P_r = q^(b_r) * Q_r(q^(m_r)), given Q_r."""
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    if prog.valid_len < progression_length(params, n):
+        raise ValueError(f"Q_{params.r} valid to {prog.valid_len} cannot give "
+                         f"{n} coefficients of P_{params.r}")
+    exps = prog.support() * params.m_r + params.b_r
+    return F2Series.from_support(exps[exps < n], n)
+
+
 def p_r_series(r: int, n: int) -> F2Series:
     """First n coefficients of the normalized eta power P_r mod 2.
 
-    Computed as a power of the level-1 or level-9 generator; the support is
-    contained in the progression b_r mod m_r.
+    The q-view of ``p_r_progression``: its support is contained in the
+    progression b_r mod m_r, and it is zero when n <= b_r.
     """
     params = EtaPowerParams.for_power(r)
-    base = delta_series(n) if r % 3 == 0 else c_series(n)
-    return power(base, params.b_r, n)
+    return progression_view(p_r_progression(r, progression_length(params, n)),
+                            params, n)
 
 
 def _allowed(limit: int, cond: tuple[int, frozenset[int]]) -> np.ndarray:

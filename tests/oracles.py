@@ -2,7 +2,10 @@
 
 Everything here works on Python ints as GF(2) polynomials (bit i = the
 coefficient of q^i) or on plain integer arithmetic, deliberately avoiding
-the packed numpy engine under test.
+the packed numpy engine under test.  The one exception is the full-q eta
+power: it is the square-and-multiply build of delta^(b_r) or C^(b_r) in q,
+which the package replaced by the product over bits of b_r in the
+progression variable, and it checks that build bit for bit.
 """
 
 from __future__ import annotations
@@ -95,3 +98,33 @@ def binom_parity(n: int, k: int) -> int:
 def binom_v2(n: int, k: int) -> int:
     c = math.comb(n, k)
     return (c & -c).bit_length() - 1 if c else -1
+
+
+def q_domain_eta_power(r: int, n: int):
+    """P_r to n coefficients as delta^(b_r) (3 | r) or C^(b_r), computed in q."""
+    from etaparity.f2series import power
+    from etaparity.genforms import c_series, delta_series
+    b = r // math.gcd(24, r)
+    return power(delta_series(n) if r % 3 == 0 else c_series(n), b, n)
+
+
+def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[int, int]:
+    """(direct, formula) hit counts over the given primes, read from the full-q P_r.
+
+    Direct reads a_{ell*mu} with mu the value in [b_r/ell, b_r/ell + m_r)
+    where ell*mu ≡ b_r (mod m_r); formula reads a_{u*ell} for every shift u,
+    the least positive u with u*c ≡ b_r (mod m_r) over the units c mod m_r.
+    """
+    m, b = 24 // math.gcd(24, r), r // math.gcd(24, r)
+    series = q_domain_eta_power(r, b + m * prime_bound + 1)
+    primes = np.array(primes, dtype=np.int64)
+    nu = np.zeros_like(primes)
+    first = -(-b // primes)
+    for t in range(m):
+        mu = first + t
+        nu = np.where((nu == 0) & ((primes * mu - b) % m == 0), primes * mu, nu)
+    direct = int(series.coeffs_at(nu).sum())
+    shifts = {next(u for u in range(1, m + 1) if (u * c - b) % m == 0)
+              for c in range(m) if math.gcd(c, m) == 1}
+    formula = sum(int(series.coeffs_at(u * primes).sum()) for u in shifts)
+    return direct, formula

@@ -118,3 +118,56 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["density"])  # --r is required
     assert exc.value.code == 2
+
+
+def exit_code(argv):
+    """The exit code of the CLI, whether main returns it or argparse exits."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["density", "--r", "3..1"], id="empty-r-range"),
+    pytest.param(["density", "--r", "1..x"], id="malformed-r"),
+    pytest.param(["density", "--r", "-2..3"], id="nonpositive-r-range"),
+    pytest.param(["density", "--r", "1", "--prime-bound", "4",
+                  "--format", "csv"], id="zero-prime-scan"),
+    pytest.param(["density", "--r", "1", "--threads", "0"], id="threads-below-1"),
+    pytest.param(["expand", "P:5", "--coeffs", "-3"], id="negative-coeffs"),
+    pytest.param(["expand", "P:5", "--coeffs", "0"], id="zero-coeffs"),
+    pytest.param(["expand", "delta", "--coeffs", "ten"], id="non-integer-coeffs"),
+    pytest.param(["verify", "--suite", "thmB", "--prime-bound", "2000"],
+                 id="verify-bound-below-minimum"),
+    pytest.param(["walk", "--n", "0", "--out", "unused.csv"], id="walk-n-below-1"),
+])
+def test_bad_input_exits_two(argv, capsys):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "negative dimensions" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["density", "--r", "3..1"], "r range '3..1' is empty"),
+    (["density", "--r", "1", "--prime-bound", "4", "--format", "csv"],
+     "covers no primes"),
+])
+def test_rejected_density_input_is_one_line(argv, message, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_verify_rejects_small_bound_before_running(monkeypatch):
+    from etaparity import suites as suite_mod
+
+    def must_not_run(**kwargs):
+        raise AssertionError("suite ran despite a rejected prime bound")
+
+    for name in suite_mod.SUITES:
+        monkeypatch.setitem(suite_mod.SUITES, name, must_not_run)
+    assert exit_code(["verify", "--suite", "all", "--prime-bound",
+                      str(suite_mod.MIN_PRIME_BOUND - 1)]) == 2

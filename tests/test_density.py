@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from etaparity.density import (PrecisionError, PrimeSieve, eta_density_decomposition,
+from etaparity.density import (EmptyScanError, PrecisionError, PrimeSieve,
+                               eta_density_decomposition,
                                eta_density_direct, eta_density_exact,
                                eta_density_formula, eta_power_series,
                                density_report_row, mu_delta, odd_coeff_density,
@@ -14,7 +15,7 @@ from etaparity.genforms import c_series, delta_series
 from etaparity.hecke import HeckeOpSpec
 from etaparity.level1 import DyadicRational
 
-from oracles import trial_division_primes
+from oracles import q_domain_route_hits, trial_division_primes
 
 BOUND = 20_000
 
@@ -134,6 +135,24 @@ class TestEtaDensityRoutes:
             d = eta_density_direct(r, BOUND)
             f = eta_density_formula(r, BOUND)
             assert abs(d.value - f.value) <= 0.02, r
+
+    def test_hits_match_q_domain_reads_all_r_to_132(self):
+        bound = 10_000
+        primes = [p for p in trial_division_primes(bound) if p >= 5]
+        for r in range(1, 133):
+            want = q_domain_route_hits(r, primes, bound)
+            got = (eta_density_direct(r, bound).hits,
+                   eta_density_formula(r, bound).hits)
+            assert got == want, r
+
+    def test_zero_prime_scans_raise(self):
+        for bound in (-7, 0, 4):
+            with pytest.raises(EmptyScanError):
+                eta_density_direct(1, bound)
+            with pytest.raises(EmptyScanError):
+                eta_density_formula(18, bound)
+        with pytest.raises(EmptyScanError):
+            odd_coeff_density(delta_series(100), 50, progression=(8, 2))
 
     def test_per_class_hits_match_shifted_reads(self):
         # hits of the direct scan in the class c (mod m_r) equal hits of the

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from etaparity.f2series import F2Series, add, mul, power, substitute_qk
 from etaparity.genforms import (CongruenceTheta, EtaPowerParams, c_series,
                                 congruence_theta, delta_series,
-                                eta_product_pnt, f_series, p_r_series,
-                                pentagonal_numbers)
+                                eta_product_pnt, f_series, p_r_progression,
+                                p_r_series, pentagonal_numbers,
+                                progression_view, triangular_theta)
 
-from oracles import mask_to_bits, naive_eta_product_mask
+from oracles import mask_to_bits, naive_eta_product_mask, q_domain_eta_power
 
 
 def supp(f):
@@ -79,6 +82,14 @@ class TestPentagonal:
         assert supp(eta_product_pnt(16)) == [0, 1, 2, 5, 7, 12, 15]
         assert supp(eta_product_pnt(1)) == [0]
 
+    def test_triangular_theta(self):
+        assert supp(triangular_theta(22)) == [0, 1, 3, 6, 10, 15, 21]
+        assert supp(triangular_theta(1)) == [0]
+        n = 10_000
+        lhs = mul(F2Series.from_support([1], n),
+                  substitute_qk(triangular_theta(n // 8 + 1), 8, n), n)
+        assert lhs == delta_series(n)
+
     def test_pentagonal_numbers(self):
         assert list(pentagonal_numbers(30)) == [1, 2, 5, 7, 12, 15, 22, 26]
 
@@ -108,6 +119,44 @@ class TestEtaPowers:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             p_r_series(0, 10)
+
+    def test_matches_q_domain_power_all_r_to_256(self):
+        for r in range(1, 257):
+            params = EtaPowerParams.for_power(r)
+            n = params.b_r + 64 * params.m_r
+            got = p_r_series(r, n)
+            assert got.valid_len == n
+            assert np.array_equal(got.bits(), q_domain_eta_power(r, n).bits()), r
+
+    @given(st.integers(1, 400), st.integers(1, 3000))
+    def test_matches_q_domain_power(self, r, n):
+        got = p_r_series(r, n)
+        assert got.valid_len == n
+        assert np.array_equal(got.bits(), q_domain_eta_power(r, n).bits())
+        if n <= EtaPowerParams.for_power(r).b_r:
+            assert got.is_zero()
+
+    def test_zero_below_b_r(self):
+        # b_127 = 127: P_127 starts at q^127
+        assert p_r_series(127, 127).is_zero()
+        assert supp(p_r_series(127, 128)) == [127]
+
+    def test_progression_is_compressed_series(self):
+        # P_18 = q^3 Q_18(q^4): 200 coefficients of Q_18 give 800 of P_18,
+        # and a longer Q_18 (as a cache may hold) gives the same view
+        params = EtaPowerParams.for_power(18)
+        want = q_domain_eta_power(18, 800).bits()
+        for length in (200, 500):
+            q18 = p_r_progression(18, length)
+            assert q18.valid_len == length
+            assert np.array_equal(progression_view(q18, params, 800).bits(), want)
+
+    def test_view_needs_enough_progression(self):
+        params = EtaPowerParams.for_power(18)
+        with pytest.raises(ValueError):
+            progression_view(p_r_progression(18, 10), params, 100)
+        with pytest.raises(ValueError):
+            p_r_progression(18, 0)
 
     def test_progression_support_all_r_to_256(self):
         for r in range(1, 257):
