@@ -1,10 +1,10 @@
 """Mod-2 arithmetic of eta powers: packed GF(2) series, Hecke operators,
 the level-1 and level-9 form algebras, and parity-density experiments."""
 
-from .f2series import F2Series, add, mul, power, square, substitute_qk
+from .f2series import F2Series, add, mul, power, substitute_qk
 from .genforms import (CongruenceTheta, EtaPowerParams, c_series,
                        congruence_theta, delta_series, eta_product_pnt,
-                       f_series, p_r_progression, p_r_series,
+                       f_series, generator_power, p_r_series, power_in_q,
                        triangular_theta)
 from .hecke import HeckeOpSpec, t_op, u_op, v_op
 from .level1 import (CodeMatrix, DyadicRational, GenPoly, code_matrix,
@@ -14,7 +14,7 @@ from .density import (DensityEstimate, EmptyScanError, PrecisionError, PrimeSiev
                       SubseqIndex, eta_density_decomposition,
                       eta_density_direct, eta_density_exact,
                       eta_density_formula, mu_delta, odd_coeff_density,
-                      odd_coeff_density_shifted, verify_bounds)
+                      verify_bounds)
 from .walks import ParityTable, delta_ell, emit_walk, partition_parity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,11 +7,11 @@ resource errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import density, suites, walks
@@ -28,7 +28,6 @@ class RunConfig:
     prime_bound: int = 100_000
     coeffs: int = 100
     walk_n: int = 1_000_000
-    threads: int = 1
 
 
 DEFAULTS = RunConfig()
@@ -111,23 +110,15 @@ def _density_rows(r: int, prime_bound: int):
 
 def cmd_density(args) -> int:
     r_values = _parse_r_spec(args.r)
-    all_rows: list[dict] = []
-    ok = True
-
-    def work(r):
-        return _density_rows(r, args.prime_bound)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, r_values))
-    else:
-        results = [work(r) for r in r_values]
-    for rows, good in results:
-        all_rows.extend(rows)
-        ok = ok and good
-
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    # the sink is opened before the scans, so an unwritable --out fails fast
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as sink:
+        all_rows: list[dict] = []
+        ok = True
+        for r in r_values:
+            rows, good = _density_rows(r, args.prime_bound)
+            all_rows.extend(rows)
+            ok = ok and good
         if args.format == "json":
             json.dump(all_rows, sink, indent=1)
             sink.write("\n")
@@ -141,9 +132,6 @@ def cmd_density(args) -> int:
                 sink.write(
                     f"r={row['r']:>4} {row['route']:<7} value={row['value']} "
                     f"~ {row['nearest_dyadic']}{exact}\n")
-    finally:
-        if args.out:
-            sink.close()
     return 0 if ok else 1
 
 
@@ -195,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--format", choices=("csv", "json", "text"),
                            default="text")
     p_density.add_argument("--out", default=None)
-    p_density.add_argument("--threads", type=_at_least(1), default=DEFAULTS.threads)
     p_density.set_defaults(func=cmd_density)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -219,7 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PrecisionError, MemoryError, ValueError) as exc:
+    except (PrecisionError, MemoryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

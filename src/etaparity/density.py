@@ -11,11 +11,12 @@ where a closed form is proven:
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
   the two dihedral families, and the handful of abelian eta powers.
 
-Both empirical routes read P_r = q^(b_r) * Q_r(q^(m_r)) through Q_r (see
-``genforms``): the bit of P_r at e is bit (e - b_r)/m_r of Q_r when
-e ≡ b_r (mod m_r) and e >= b_r, and zero otherwise.  Every bit either route
-reads lies below prime_bound + 1 in Q_r, which is what one cache of Q_r per
-r holds, in place of b_r + m_r * prime_bound coefficients of P_r.
+Both empirical routes read P_r = g^(b_r) = q^(b_r) * h^(b_r)(q^s) (see
+``genforms``) at q-exponents E through one helper: the bit is that of
+h^(b_r) at (E - b_r)/s when E >= b_r and E ≡ b_r (mod s), and zero
+otherwise.  Every E either route reads is below b_r + m_r * prime_bound + 1,
+so both ask the generator-power cache for the same m_r * prime_bound // s + 1
+coefficients of h^(b_r), and the second route is served from the cache.
 
 Primes 2 and 3 are excluded from every scan (congruence obstructions); a
 scan over no primes at all raises ``EmptyScanError``.  Estimates carry
@@ -25,14 +26,12 @@ binomial statistics; acceptance tolerance is max(0.02, 4 sigma) throughout.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .f2series import F2Series
-from .genforms import (EtaPowerParams, p_r_progression, progression_length,
-                       progression_view)
+from .genforms import GENERATORS, EtaPowerParams, generator_power
 from .hecke import HeckeOpSpec, is_prime
 from .level1 import DyadicRational
 
@@ -82,17 +81,15 @@ class PrimeSieve:
         return ps[ps % modulus == residue % modulus]
 
 
-_sieve_lock = threading.Lock()
 _sieve: PrimeSieve | None = None
 
 
 def shared_sieve(bound: int) -> PrimeSieve:
     """Process-wide sieve, regrown geometrically on demand."""
     global _sieve
-    with _sieve_lock:
-        if _sieve is None or _sieve.bound < bound:
-            _sieve = PrimeSieve(max(bound, 2 * (_sieve.bound if _sieve else 0)))
-        return _sieve
+    if _sieve is None or _sieve.bound < bound:
+        _sieve = PrimeSieve(max(bound, 2 * (_sieve.bound if _sieve else 0)))
+    return _sieve
 
 
 def prime_array(lo: int, hi: int) -> np.ndarray:
@@ -192,56 +189,24 @@ def odd_coeff_density(f: F2Series, prime_bound: int,
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
-def odd_coeff_density_shifted(f: F2Series, p: int, prime_bound: int,
-                              progression: tuple[int, int] | None = None) -> DensityEstimate:
-    """Density of primes ell with a_{p*ell}(f) = 1.
-
-    For p an odd prime this estimates the coefficient density of T_p f
-    without applying the operator (the a_{ell/p} half of T_p vanishes for
-    prime ell != p); p = 2 gives the U_2 route.
-    """
-    if f.valid_len <= p * prime_bound:
-        raise PrecisionError(
-            f"series valid to {f.valid_len} cannot be scanned to {p}*{prime_bound}")
-    primes = _scan_primes(prime_bound, progression)
-    hits = int(f.coeffs_at(p * primes).sum())
-    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
-
-
-_progression_lock = threading.Lock()
-_progression_cache: dict[int, F2Series] = {}
-
-
-def progression_series(r: int, n: int) -> F2Series:
-    """Q_r to >= n coefficients, cached by r at the largest precision seen."""
-    with _progression_lock:
-        got = _progression_cache.get(r)
-    if got is None or got.valid_len < n:
-        got = p_r_progression(r, n)
-        with _progression_lock:
-            prev = _progression_cache.get(r)
-            if prev is None or prev.valid_len < got.valid_len:
-                _progression_cache[r] = got
-            else:
-                got = prev
-    return got
-
-
-def eta_power_series(r: int, n: int) -> F2Series:
-    """P_r to n coefficients, viewed from the cached Q_r."""
+def _p_r_bits(r: int, exps: np.ndarray, prime_bound: int) -> np.ndarray:
+    """Bits of P_r at the q-exponents exps, each below b_r + m_r*prime_bound + 1."""
     params = EtaPowerParams.for_power(r)
-    return progression_view(progression_series(r, progression_length(params, n)),
-                            params, n)
+    b, s = params.b_r, GENERATORS[params.generator][1]
+    series = generator_power(params.generator, b, params.m_r * prime_bound // s + 1)
+    on = (exps >= b) & ((exps - b) % s == 0)
+    bits = np.zeros(len(exps), dtype=np.uint8)
+    bits[on] = series.coeffs_at((exps[on] - b) // s)
+    return bits
 
 
 def eta_density_direct(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density read straight off the eta power: the bit at
-    exponent ell*mu for each prime ell, which is bit (ell*mu - b_r)/m_r of Q_r."""
+    """The parity density read straight off the eta power: the bit of P_r
+    at exponent ell*mu for each prime ell."""
     params = EtaPowerParams.for_power(r)
     primes = _scan_primes(prime_bound)
-    series = progression_series(r, prime_bound + 1)
     nu = primes * _mu_array(primes, params.m_r, params.b_r)
-    hits = int(series.coeffs_at((nu - params.b_r) // params.m_r).sum())
+    hits = int(_p_r_bits(r, nu, prime_bound).sum())
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
@@ -267,7 +232,6 @@ class EtaDecomposition:
     r: int
     m_r: int
     b_r: int
-    generator: str  # "delta" or "C"
     terms: tuple[tuple[HeckeOpSpec | None, str], ...]
 
 
@@ -278,8 +242,7 @@ def eta_density_decomposition(r: int) -> EtaDecomposition:
     (progression modulus 3) is U_2.
     """
     params = EtaPowerParams.for_power(r)
-    gen = "delta" if r % 3 == 0 else "C"
-    form = f"{gen}^{params.b_r}"
+    form = f"{params.generator}^{params.b_r}"
     terms = []
     for u in _SHIFTS_BY_MODULUS[params.m_r]:
         if u == 1:
@@ -288,40 +251,34 @@ def eta_density_decomposition(r: int) -> EtaDecomposition:
             terms.append((HeckeOpSpec("U", 2), form))
         else:
             terms.append((HeckeOpSpec("T", u), form))
-    return EtaDecomposition(r, params.m_r, params.b_r, gen, tuple(terms))
+    return EtaDecomposition(r, params.m_r, params.b_r, tuple(terms))
 
 
 def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density summed over its decomposition into shifted scans.
-
-    The shift by u reads a_{u*ell}(P_r) for every prime ell; only the primes
-    with u*ell ≡ b_r (mod m_r) and u*ell >= b_r can hit, at bit
-    (u*ell - b_r)/m_r of Q_r.
-    """
-    decomp = eta_density_decomposition(r)
-    m, b = decomp.m_r, decomp.b_r
+    """The parity density summed over its decomposition into shifted scans:
+    the shift by u reads a_{u*ell}(P_r) for every prime ell."""
     primes = _scan_primes(prime_bound)
-    series = progression_series(r, prime_bound + 1)
     hits = 0
-    for op, _ in decomp.terms:
+    for op, _ in eta_density_decomposition(r).terms:
         exps = primes if op is None else op.index * primes
-        exps = exps[(exps % m == b % m) & (exps >= b)]
-        hits += int(series.coeffs_at((exps - b) // m).sum())
+        hits += int(_p_r_bits(r, exps, prime_bound).sum())
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
-def _zn(n: int) -> int:
+def zn(n: int) -> int:
+    """The Q(sqrt(-2))-dihedral exponent sequence 3, 11, 43, 171, ..."""
     return (2 * 4**n + 1) // 3
 
 
-def _wn(n: int) -> int:
+def wn(n: int) -> int:
+    """The Q(i)-dihedral exponent sequence 5, 17, 65, 257, ..."""
     return 4**n + 1
 
 
 def _dihedral_exact(r: int) -> DyadicRational | None:
     n = 1
     while True:
-        z, w = _zn(n), _wn(n)
+        z, w = zn(n), wn(n)
         if 3 * z > r:
             return None
         for a in (3, 6, 12, 24):

@@ -7,8 +7,10 @@ precision silently (shift operators like U_ell *consume* precision, so a
 silent extension would corrupt every density downstream).  Bits at or
 beyond ``valid_len`` are kept zero in the stored representation.
 
-Instances are immutable after construction and safe to share across
-threads; all operations are pure functions returning fresh series.
+Instances are immutable after construction; all operations are pure
+functions returning fresh series.  Powers are Frobenius products: squaring
+is exponent dilation (``substitute_qk(f, 2)``), so ``power`` multiplies
+dilated prefixes of f over the bits of the exponent.
 """
 
 from __future__ import annotations
@@ -241,34 +243,26 @@ def _mul_dense(f: F2Series, g: F2Series, n: int) -> F2Series:
     return F2Series.from_bits(pbits[::slot], n)
 
 
-def square(f: F2Series, n_out: int | None = None) -> F2Series:
-    """Frobenius squaring: coefficient 2n of the result is a_n(f).
-
-    Valid length doubles, capped at n_out when given.
-    """
-    n = 2 * f.valid_len if n_out is None else min(2 * f.valid_len, n_out)
-    half = (n + 1) // 2
-    out = np.zeros(n, dtype=np.uint8)
-    out[0::2] = f.bits(half)
-    return F2Series.from_bits(out, n)
-
-
 def power(f: F2Series, e: int, n: int) -> F2Series:
-    """First n coefficients of f**e, via square-and-multiply.
+    """First n coefficients of f**e, as the Frobenius product over the bits of e.
 
-    The doubling steps are Frobenius squarings (free bit spreading); the
-    multiply steps XOR-shift across the support of f.
+    In characteristic 2, f^(2^i)(q) = f(q^(2^i)), so f^e is the product of
+    the dilations f(q^(2^i)) for the set bits i of e; each needs only the
+    first ceil(n/2^i) coefficients of f.  The factors are multiplied densest
+    first, so every multiply XOR-shifts the accumulated product across a
+    sparser factor.  Valid to 2^v * min(n, f.valid_len), capped at n, where
+    2^v is the lowest set bit of e.
     """
     if e < 1:
         raise ValueError("exponent must be >= 1")
     if n < 1:
         raise ValueError("precision must be >= 1")
-    base = f.truncate(min(n, f.valid_len))
-    acc = base
-    for bit in bin(e)[3:]:
-        acc = square(acc, n)
-        if bit == "1":
-            acc = mul(acc, base, n)
+    acc = None
+    for i in range(e.bit_length()):
+        if e >> i & 1:
+            k = 1 << i
+            factor = substitute_qk(f.truncate(min(f.valid_len, -(-n // k))), k, n)
+            acc = factor if acc is None else mul(acc, factor, n)
     return acc
 
 

@@ -1,4 +1,4 @@
-"""Generator series for the mod-2 form algebras, and normalized eta powers.
+"""Generator series for the mod-2 form algebras, their powers, and eta powers.
 
 The three theta-type generators, as mod-2 q-expansions:
 
@@ -6,20 +6,24 @@ The three theta-type generators, as mod-2 q-expansions:
     C:     sum of q^(n^2) over odd n, 3 ∤ n     (weight-4 level-9 cusp form)
     F:     sum of q^(n^2) over 3 ∤ n            (level 9 generator)
 
+Each has the form g(q) = q * h(q^s) (table ``GENERATORS``):
+
+    delta = q * T(q^8),    T   = sum of y^(k(k+1)/2) over k >= 0,
+    C     = q * pnt(q^24), pnt = prod (1 - y^k), the pentagonal series,
+    F     = q * H(q^3),    H   = sum of y^((k^2-1)/3) over k >= 1, 3 ∤ k.
+
+So g^e = q^e * h^e(q^s), and n coefficients of g^e need only about n/s
+coefficients of h^e.  ``generator_power`` builds h^e (a Frobenius product,
+see ``f2series.power``) and caches it by (generator, e) at the largest
+precision asked for; ``power_in_q`` is its view in q.  Every generator
+power in the package comes from that one cache.
+
 The normalized eta power for exponent r reduces mod 2 to delta^(b_r) when
-3 | r and to C^(b_r) otherwise, so it is supported on b_r mod m_r:
+3 | r and to C^(b_r) otherwise (``EtaPowerParams.generator``), so
 
-    P_r(q) = q^(b_r) * Q_r(q^(m_r)).
+    P_r(q) = q^(b_r) * h^(b_r)(q^s)
 
-Each generator is g(q) = q * h(q^s): delta = q * T(q^8) with T the
-triangular theta sum of x^(k(k+1)/2), and C = q * pnt(q^24) with pnt the
-pentagonal series of prod (1 - x^k).  Hence, in the progression variable
-x = q^(m_r) and by the Frobenius identity h^(2^i)(x) = h(x^(2^i)),
-
-    Q_r(x) = h(x^(s/m_r))^(b_r) = prod over i in bits(b_r) of h(x^((s/m_r) 2^i)).
-
-``p_r_progression`` builds Q_r from that product, and ``p_r_series`` is its
-view in q: n coefficients of P_r need only about n/m_r coefficients of Q_r.
+is supported on b_r mod s, a subset of the progression b_r mod m_r.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2series import F2Series, mul, substitute_qk
+from .f2series import F2Series, power
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,11 @@ class EtaPowerParams:
             raise ValueError("eta-power exponent must be a positive integer")
         g = math.gcd(24, r)
         return cls(r, 24 // g, r // g)
+
+    @property
+    def generator(self) -> str:
+        """The generator g with P_r = g^(b_r) mod 2: delta when 3 | r, else C."""
+        return "delta" if self.r % 3 == 0 else "C"
 
     def __post_init__(self):
         if math.gcd(self.b_r, self.m_r) != 1 or 24 % self.m_r or self.m_r * self.r != 24 * self.b_r:
@@ -119,50 +128,61 @@ def triangular_theta(n: int) -> F2Series:
     return F2Series.from_support(tri[tri < n], n)
 
 
-def progression_length(params: EtaPowerParams, n: int) -> int:
-    """Coefficients of Q_r covering the exponents of P_r below n (at least one)."""
-    return max(1, -(-(n - params.b_r) // params.m_r))
-
-
-def p_r_progression(r: int, n: int) -> F2Series:
-    """First n coefficients of Q_r, where P_r(q) = q^(b_r) * Q_r(q^(m_r)).
-
-    Multiplies the dilated factors h(x^(k 2^i)) for the bits i of b_r,
-    densest first, so every product XOR-shifts the accumulated series
-    across a sparse factor; factors with k 2^i >= n are 1 to this precision.
-    """
-    params = EtaPowerParams.for_power(r)
+def prime_to_3_theta(n: int) -> F2Series:
+    """H = sum of y^((k^2-1)/3) over k >= 1 prime to 3, below n; F = q * H(q^3)."""
     if n < 1:
         raise ValueError("precision must be >= 1")
-    h, s = (triangular_theta, 8) if r % 3 == 0 else (eta_product_pnt, 24)
-    acc = F2Series.one(n)
-    for i in range(params.b_r.bit_length()):
-        k = (s // params.m_r) << i
-        if params.b_r >> i & 1 and k < n:
-            acc = mul(acc, substitute_qk(h(-(-n // k)), k, n), n)
-    return acc
-
-
-def progression_view(prog: F2Series, params: EtaPowerParams, n: int) -> F2Series:
-    """First n coefficients of P_r = q^(b_r) * Q_r(q^(m_r)), given Q_r."""
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    if prog.valid_len < progression_length(params, n):
-        raise ValueError(f"Q_{params.r} valid to {prog.valid_len} cannot give "
-                         f"{n} coefficients of P_{params.r}")
-    exps = prog.support() * params.m_r + params.b_r
+    ks = np.arange(1, math.isqrt(3 * (n - 1) + 1) + 1, dtype=np.int64)
+    exps = (ks[ks % 3 != 0] ** 2 - 1) // 3
     return F2Series.from_support(exps[exps < n], n)
+
+
+# generator name -> (h, s) with g(q) = q * h(q^s)
+GENERATORS = {
+    "delta": (triangular_theta, 8),
+    "C": (eta_product_pnt, 24),
+    "F": (prime_to_3_theta, 3),
+}
+
+_powers: dict[tuple[str, int], F2Series] = {}
+
+
+def generator_power(gen: str, e: int, n: int) -> F2Series:
+    """h^e to at least n coefficients, where the generator g(q) = q * h(q^s).
+
+    Cached by (gen, e); a request beyond the cached precision rebuilds at
+    the requested one, so the cache keeps the largest precision seen.
+    """
+    if e < 0 or n < 1:
+        raise ValueError("need e >= 0 and n >= 1")
+    got = _powers.get((gen, e))
+    if got is None or got.valid_len < n:
+        h = GENERATORS[gen][0]
+        got = F2Series.one(n) if e == 0 else power(h(n), e, n)
+        _powers[(gen, e)] = got
+    return got
+
+
+def power_in_q(gen: str, e: int, n: int) -> F2Series:
+    """First n coefficients of g^e = q^e * h^e(q^s), from the cached h^e."""
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    if n <= e:
+        return F2Series.zero(n)
+    s = GENERATORS[gen][1]
+    length = (n - e - 1) // s + 1  # h^e coefficients j with e + s*j < n
+    h = generator_power(gen, e, length)
+    return F2Series.from_support(e + s * np.nonzero(h.bits(length))[0], n)
 
 
 def p_r_series(r: int, n: int) -> F2Series:
     """First n coefficients of the normalized eta power P_r mod 2.
 
-    The q-view of ``p_r_progression``: its support is contained in the
-    progression b_r mod m_r, and it is zero when n <= b_r.
+    P_r = g^(b_r) for the generator g of ``EtaPowerParams.generator``; it
+    is zero when n <= b_r.
     """
     params = EtaPowerParams.for_power(r)
-    return progression_view(p_r_progression(r, progression_length(params, n)),
-                            params, n)
+    return power_in_q(params.generator, params.b_r, n)
 
 
 def _allowed(limit: int, cond: tuple[int, frozenset[int]]) -> np.ndarray:

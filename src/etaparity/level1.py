@@ -1,11 +1,13 @@
 """Polynomial models of the mod-2 form algebras and the adapted-basis codes.
 
 Level-1 forms are GF(2) polynomials in the generator delta; level-9 forms
-are polynomials in F.  A ``GenPoly`` stores the exponent set.  The Hecke
-action is computed by expanding to a q-series at just enough precision,
-applying the operator, and greedily re-expressing in generator powers
-(the generator power g^e has leading term q^e, so the lowest surviving
-exponent of the residual identifies the next monomial).
+are polynomials in F.  A ``GenPoly`` stores the exponent set; its
+q-expansion sums the generator powers g^e = q^e * h^e(q^s) served by the
+one cache in ``genforms`` (``power_in_q``).  The Hecke action is computed
+by expanding to a q-series at just enough precision, applying the
+operator, and greedily re-expressing in generator powers (the generator
+power g^e has leading term q^e, so the lowest surviving exponent of the
+residual identifies the next monomial).
 
 The adapted basis m(a,b) dual to monomials in (T_3, T_5) is never
 materialized as q-series: duality makes a form's coordinates directly
@@ -17,17 +19,17 @@ from the binary digit statistics of a.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cheby
-from .f2series import F2Series, _mask_tail, _nwords, power
-from .genforms import delta_series, f_series
+from .f2series import F2Series, _mask_tail, _nwords
+from .genforms import power_in_q
 from .hecke import is_prime, t_op, u_op
 
 LEVELS = (1, 9)
+_LEVEL_GENERATOR = {1: "delta", 9: "F"}
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,7 @@ class GenPoly:
         return cls(level, frozenset(exps))
 
     def __repr__(self) -> str:
-        gen = "delta" if self.level == 1 else "F"
-        return f"GenPoly({gen}: {sorted(self.exponents)})"
+        return f"GenPoly({_LEVEL_GENERATOR[self.level]}: {sorted(self.exponents)})"
 
 
 def clmul(a: int, b: int) -> int:
@@ -105,45 +106,11 @@ def genpoly_pow(p: GenPoly, e: int) -> GenPoly:
     return GenPoly.from_mask(p.level, acc)
 
 
-class _PowerCache:
-    """Generator powers g^e per level, recomputed lazily as precision grows."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._state: dict[int, tuple[int, dict[int, F2Series]]] = {}
-
-    def get(self, level: int, e: int, n: int) -> F2Series:
-        base_fn = delta_series if level == 1 else f_series
-        with self._lock:
-            prec, cache = self._state.get(level, (0, {}))
-            if prec < n:
-                prec, cache = max(n, 2 * prec), {}
-                self._state[level] = (prec, cache)
-            got = cache.get(e)
-            if got is None:
-                if e == 0:
-                    got = F2Series.one(prec)
-                else:
-                    got = power(base_fn(prec), e, prec)
-                cache[e] = got
-        return got.truncate(n) if got.valid_len > n else got
-
-
-_powers = _PowerCache()
-
-
-def generator_power(level: int, e: int, n: int) -> F2Series:
-    """g^e to n coefficients, g the level's generator; cached across calls."""
-    if e < 0 or n < 1:
-        raise ValueError("need e >= 0 and n >= 1")
-    return _powers.get(level, e, n)
-
-
 def genpoly_series(p: GenPoly, n: int) -> F2Series:
     """Expand a generator polynomial to its first n coefficients."""
     acc = np.zeros(_nwords(n), dtype=np.uint64)
     for e in p.exponents:
-        acc ^= generator_power(p.level, e, n).words
+        acc ^= power_in_q(_LEVEL_GENERATOR[p.level], e, n).words
     _mask_tail(acc, n)
     return F2Series(acc, n)
 
@@ -176,7 +143,7 @@ def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
                 f"not a generator polynomial of degree <= {max_degree} at this "
                 f"precision: residual starts at q^{e}")
         exponents.append(e)
-        residual ^= generator_power(level, e, n).words
+        residual ^= power_in_q(_LEVEL_GENERATOR[level], e, n).words
 
 
 def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import density, level9
+from .density import wn, zn
 from .f2series import F2Series, add, mul, power, substitute_qk
 from .genforms import (c_series, delta_series, eta_product_pnt, f_series,
-                       triangular_theta)
+                       prime_to_3_theta, triangular_theta)
 from .hecke import t_op
 from .level1 import (GenPoly, code_matrix, dihedral_density, genpoly_pow,
                      genpoly_series, hecke_on_genpoly, is_dihedral_window)
@@ -59,16 +60,6 @@ class SuiteResult:
         }
 
 
-def zn(n: int) -> int:
-    """The Q(sqrt(-2))-dihedral exponent sequence 3, 11, 43, 171, ..."""
-    return (2 * 4**n + 1) // 3
-
-
-def wn(n: int) -> int:
-    """The Q(i)-dihedral exponent sequence 5, 17, 65, 257, ..."""
-    return 4**n + 1
-
-
 def suite_identities(n: int = IDENTITY_PRECISION) -> SuiteResult:
     """Bitwise generator identities at full precision."""
     res = SuiteResult("identities")
@@ -91,6 +82,8 @@ def suite_identities(n: int = IDENTITY_PRECISION) -> SuiteResult:
             delta == mul(q, substitute_qk(triangular_theta(n // 8 + 1), 8, n), n))
     res.add("C = q * pnt(q^24)",
             c == mul(q, substitute_qk(eta_product_pnt(n // 24 + 1), 24, n), n))
+    res.add("F = q * H(q^3)",
+            f == mul(q, substitute_qk(prime_to_3_theta(n // 3 + 1), 3, n), n))
     return res
 
 
@@ -302,8 +295,3 @@ SUITES = {
     "abelian": suite_abelian,
 }
 
-
-def run_suite(name: str, **kwargs) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)

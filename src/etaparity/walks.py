@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import prime_array
-from .f2series import F2Series, mul, square
+from .f2series import F2Series, mul, substitute_qk
 from .genforms import eta_product_pnt
 from .hecke import is_prime
 
@@ -47,7 +47,7 @@ def partition_parity(n: int) -> ParityTable:
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        g = mul(f, square(g, prec), prec)
+        g = mul(f, substitute_qk(g, 2, prec), prec)
     return ParityTable(g)
 
 

@@ -2,10 +2,11 @@
 
 Everything here works on Python ints as GF(2) polynomials (bit i = the
 coefficient of q^i) or on plain integer arithmetic, deliberately avoiding
-the packed numpy engine under test.  The one exception is the full-q eta
-power: it is the square-and-multiply build of delta^(b_r) or C^(b_r) in q,
-which the package replaced by the product over bits of b_r in the
-progression variable, and it checks that build bit for bit.
+the packed numpy engine under test.  The exceptions are the full-q
+generator powers and the scans over them: square-and-multiply in q, built
+here from the package's ``mul`` and ``substitute_qk`` only, against which
+the package's generator-power engine (h^e in the compressed variable, a
+Frobenius product over the bits of e) is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -100,12 +101,39 @@ def binom_v2(n: int, k: int) -> int:
     return (c & -c).bit_length() - 1 if c else -1
 
 
+def square_and_multiply(f, e: int, n: int):
+    """f**e to n coefficients by square-and-multiply in q (Frobenius squaring)."""
+    from etaparity.f2series import mul, substitute_qk
+    base = f.truncate(min(n, f.valid_len))
+    acc = base
+    for bit in bin(e)[3:]:
+        acc = substitute_qk(acc, 2, n)
+        if bit == "1":
+            acc = mul(acc, base, n)
+    return acc
+
+
 def q_domain_eta_power(r: int, n: int):
     """P_r to n coefficients as delta^(b_r) (3 | r) or C^(b_r), computed in q."""
-    from etaparity.f2series import power
     from etaparity.genforms import c_series, delta_series
     b = r // math.gcd(24, r)
-    return power(delta_series(n) if r % 3 == 0 else c_series(n), b, n)
+    return square_and_multiply(delta_series(n) if r % 3 == 0 else c_series(n), b, n)
+
+
+def odd_coeff_density_shifted(f, p: int, prime_bound: int):
+    """Density of primes 5 <= ell <= prime_bound with a_{p*ell}(f) = 1.
+
+    For p an odd prime this estimates the coefficient density of T_p f
+    without applying the operator (the a_{ell/p} half of T_p vanishes for
+    prime ell != p); p = 2 gives the U_2 route.
+    """
+    from etaparity.density import DensityEstimate, PrecisionError, prime_array
+    if f.valid_len <= p * prime_bound:
+        raise PrecisionError(
+            f"series valid to {f.valid_len} cannot be scanned to {p}*{prime_bound}")
+    primes = prime_array(5, prime_bound)
+    hits = int(f.coeffs_at(p * primes).sum())
+    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
 def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[int, int]:

@@ -115,7 +115,7 @@ def test_criterion_9_abelian_values():
                   "multiples of 7, 19, 21)", result)
 
 
-def test_criterion_10_appendix():
+def test_criterion_10_appendix(tmp_path):
     ells = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
     want = (4, 5, 6, 6, 5, 4, 1, 23, 22, 17, 12, 9)
     table_ok = tuple(delta_ell(l) for l in ells) == want
@@ -126,7 +126,7 @@ def test_criterion_10_appendix():
     parity_ok = np.array_equal(partition_parity(n).parities(), oracle)
 
     start = time.perf_counter()
-    emit_walk("all", 1_000_000, "/tmp/etaparity_walk_acceptance.csv")
+    emit_walk("all", 1_000_000, str(tmp_path / "walk.csv"))
     walk_seconds = time.perf_counter() - start
     walk_ok = walk_seconds < 60.0
 

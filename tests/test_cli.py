@@ -3,10 +3,15 @@
 import csv
 import io
 import json
-from contextlib import redirect_stdout
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etaparity import cli
 from etaparity.cli import main
 
 
@@ -58,7 +63,7 @@ class TestDensity:
 
     def test_range_json_threads(self):
         code, out = run_cli("density", "--r", "1..4", "--prime-bound", "5000",
-                            "--format", "json", "--threads", "2")
+                            "--format", "json")
         data = json.loads(out)
         assert code == 0 and len(data) == 8
 
@@ -135,7 +140,6 @@ def exit_code(argv):
     pytest.param(["density", "--r", "-2..3"], id="nonpositive-r-range"),
     pytest.param(["density", "--r", "1", "--prime-bound", "4",
                   "--format", "csv"], id="zero-prime-scan"),
-    pytest.param(["density", "--r", "1", "--threads", "0"], id="threads-below-1"),
     pytest.param(["expand", "P:5", "--coeffs", "-3"], id="negative-coeffs"),
     pytest.param(["expand", "P:5", "--coeffs", "0"], id="zero-coeffs"),
     pytest.param(["expand", "delta", "--coeffs", "ten"], id="non-integer-coeffs"),
@@ -171,3 +175,51 @@ def test_verify_rejects_small_bound_before_running(monkeypatch):
         monkeypatch.setitem(suite_mod.SUITES, name, must_not_run)
     assert exit_code(["verify", "--suite", "all", "--prime-bound",
                       str(suite_mod.MIN_PRIME_BOUND - 1)]) == 2
+
+
+def test_unwritable_density_out_fails_before_scanning(tmp_path, monkeypatch, capsys):
+    def must_not_run(r, prime_bound):
+        raise AssertionError("scanned before the output was opened")
+
+    monkeypatch.setattr(cli, "_density_rows", must_not_run)
+    out = tmp_path / "missing" / "table.csv"
+    assert exit_code(["density", "--r", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+def test_unwritable_walk_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "walk.csv"
+    assert exit_code(["walk", "--n", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+def _rows_pass(direct: dict, formula: dict) -> bool:
+    """The README's rule for one r: the routes agree within 0.02, and the
+    direct estimate is within max(0.02, 4 sigma) of a known exact value."""
+    value = direct["hits"] / direct["samples"]
+    sigma = math.sqrt(value * (1.0 - value) / direct["samples"])
+    exact_ok = direct["exact"] == "" or \
+        abs(value - float(Fraction(direct["exact"]))) <= max(0.02, 4.0 * sigma)
+    return abs(value - formula["hits"] / formula["samples"]) <= 0.02 and exact_ok
+
+
+@settings(max_examples=50, deadline=None)
+@given(lo=st.integers(-2, 8), hi=st.integers(-2, 8), bound=st.integers(-5, 200))
+def test_density_exit_code_by_input_class(lo, hi, bound):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["density", f"--r={lo}..{hi}", f"--prime-bound={bound}",
+                     "--format", "json"])
+    if lo < 1 or lo > hi or bound < 5:
+        # an empty or non-positive r range, or no prime >= 5 to scan
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        return
+    rows = json.loads(out.getvalue())
+    direct, formula = rows[0::2], rows[1::2]
+    assert [row["r"] for row in direct] == list(range(lo, hi + 1))
+    assert [row["route"] for row in formula] == ["formula"] * len(direct)
+    passed = all(_rows_pass(d, f) for d, f in zip(direct, formula))
+    assert code == (0 if passed else 1)

@@ -6,16 +6,16 @@ import pytest
 from etaparity.density import (EmptyScanError, PrecisionError, PrimeSieve,
                                eta_density_decomposition,
                                eta_density_direct, eta_density_exact,
-                               eta_density_formula, eta_power_series,
+                               eta_density_formula,
                                density_report_row, mu_delta, odd_coeff_density,
-                               odd_coeff_density_shifted, prime_array,
-                               verify_bounds, REPORT_COLUMNS)
+                               prime_array, verify_bounds, REPORT_COLUMNS)
 from etaparity.f2series import power
-from etaparity.genforms import c_series, delta_series
+from etaparity.genforms import c_series, delta_series, p_r_series
 from etaparity.hecke import HeckeOpSpec
 from etaparity.level1 import DyadicRational
 
-from oracles import q_domain_route_hits, trial_division_primes
+from oracles import (odd_coeff_density_shifted, q_domain_route_hits,
+                     trial_division_primes)
 
 BOUND = 20_000
 
@@ -101,7 +101,7 @@ class TestCoefficientDensity:
 class TestDecomposition:
     def test_r18(self):
         d = eta_density_decomposition(18)
-        assert d.generator == "delta" and d.b_r == 3
+        assert d.b_r == 3
         assert d.terms == ((None, "delta^3"), (HeckeOpSpec("T", 3), "delta^3"))
 
     def test_r35_all_eight(self):
@@ -125,7 +125,7 @@ class TestEtaDensityRoutes:
 
     def test_r24s_route_collapses_to_plain_density(self):
         # m_r = 1: the decomposition is the identity alone
-        series = eta_power_series(72, 72 // 24 + BOUND + 1)
+        series = p_r_series(72, 72 // 24 + BOUND + 1)
         direct = odd_coeff_density(series, BOUND)
         formula = eta_density_formula(72, BOUND)
         assert formula.hits == direct.hits
@@ -159,7 +159,7 @@ class TestEtaDensityRoutes:
         # u_c-shifted read in that class, prime by prime beyond b_r
         r, bound = 18, 5000
         params_m, params_b = 4, 3
-        series = eta_power_series(r, params_b + params_m * bound + 1)
+        series = p_r_series(r, params_b + params_m * bound + 1)
         primes = prime_array(5, bound)
         for c in (1, 3):
             cls = primes[primes % params_m == c]

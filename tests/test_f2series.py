@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaparity.f2series import (F2Series, add, mul, power, square,
-                                substitute_qk)
+from etaparity.f2series import F2Series, add, mul, power, substitute_qk
 from etaparity.genforms import c_series, delta_series
 
 from oracles import conv_mod2, odd_square_triple_parity
@@ -90,7 +89,7 @@ class TestMul:
 
     def test_c_cubed_is_dilated_delta(self):
         c = c_series(300)
-        prod = mul(c, square(c, 300), 300)
+        prod = mul(c, substitute_qk(c, 2, 300), 300)
         assert support_list(prod) == [3, 27, 75, 147, 243]
 
     def test_dense_path_against_convolution(self, rng):
@@ -120,27 +119,28 @@ class TestMul:
 class TestSquare:
     def test_monomial(self):
         q = F2Series.from_support([1], 10)
-        assert support_list(square(q)) == [2]
+        assert support_list(substitute_qk(q, 2)) == [2]
 
     def test_delta(self):
-        assert support_list(square(delta_series(60), 100)) == [2, 18, 50, 98]
+        assert support_list(substitute_qk(delta_series(60), 2, 100)) == \
+            [2, 18, 50, 98]
 
     def test_double_square_is_fourth_power(self, rng):
         supp = rng.choice(1000, size=25, replace=False)
         f = F2Series.from_support(sorted(supp), 1000)
-        via_square = square(square(f, 1000), 1000)
+        via_square = substitute_qk(substitute_qk(f, 2, 1000), 2, 1000)
         via_power = power(f, 4, 1000)
         via_mul = mul(mul(f, f, 1000), mul(f, f, 1000), 1000)
         assert via_square == via_power == via_mul
 
     @given(series_strategy())
     def test_square_is_self_product(self, f):
-        assert square(f) == mul(f, f)
+        assert substitute_qk(f, 2) == mul(f, f)
 
     def test_valid_len_doubles_capped(self):
         f = F2Series.from_support([1], 10)
-        assert square(f).valid_len == 20
-        assert square(f, 15).valid_len == 15
+        assert substitute_qk(f, 2).valid_len == 20
+        assert substitute_qk(f, 2, 15).valid_len == 15
 
 
 class TestPower:

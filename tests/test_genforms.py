@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from etaparity import genforms
 from etaparity.f2series import F2Series, add, mul, power, substitute_qk
 from etaparity.genforms import (CongruenceTheta, EtaPowerParams, c_series,
                                 congruence_theta, delta_series,
-                                eta_product_pnt, f_series, p_r_progression,
-                                p_r_series, pentagonal_numbers,
-                                progression_view, triangular_theta)
+                                eta_product_pnt, f_series, generator_power,
+                                p_r_series, pentagonal_numbers, power_in_q,
+                                prime_to_3_theta, triangular_theta)
 
-from oracles import mask_to_bits, naive_eta_product_mask, q_domain_eta_power
+from oracles import (mask_to_bits, naive_eta_product_mask, q_domain_eta_power,
+                     square_and_multiply)
 
 
 def supp(f):
@@ -82,6 +84,11 @@ class TestPentagonal:
         assert supp(eta_product_pnt(16)) == [0, 1, 2, 5, 7, 12, 15]
         assert supp(eta_product_pnt(1)) == [0]
 
+    def test_prime_to_3_theta(self):
+        # k = 1, 2, 4, 5, 7, 8: (k^2 - 1)/3 = 0, 1, 5, 8, 16, 21
+        assert supp(prime_to_3_theta(22)) == [0, 1, 5, 8, 16, 21]
+        assert supp(prime_to_3_theta(1)) == [0]
+
     def test_triangular_theta(self):
         assert supp(triangular_theta(22)) == [0, 1, 3, 6, 10, 15, 21]
         assert supp(triangular_theta(1)) == [0]
@@ -141,22 +148,34 @@ class TestEtaPowers:
         assert p_r_series(127, 127).is_zero()
         assert supp(p_r_series(127, 128)) == [127]
 
-    def test_progression_is_compressed_series(self):
-        # P_18 = q^3 Q_18(q^4): 200 coefficients of Q_18 give 800 of P_18,
-        # and a longer Q_18 (as a cache may hold) gives the same view
-        params = EtaPowerParams.for_power(18)
+    def test_progression_is_compressed_series(self, monkeypatch):
+        # P_18 = q^3 T^3(q^8): 800 coefficients of P_18 need 100 of T^3,
+        # and a longer cached T^3 gives the same view
+        monkeypatch.setattr(genforms, "_powers", {})
         want = q_domain_eta_power(18, 800).bits()
-        for length in (200, 500):
-            q18 = p_r_progression(18, length)
-            assert q18.valid_len == length
-            assert np.array_equal(progression_view(q18, params, 800).bits(), want)
+        for length in (100, 500):
+            assert generator_power("delta", 3, length).valid_len == length
+            assert np.array_equal(p_r_series(18, 800).bits(), want)
+        assert generator_power("delta", 3, 100).valid_len == 500
 
     def test_view_needs_enough_progression(self):
-        params = EtaPowerParams.for_power(18)
         with pytest.raises(ValueError):
-            progression_view(p_r_progression(18, 10), params, 100)
+            generator_power("delta", 3, 0)
         with pytest.raises(ValueError):
-            p_r_progression(18, 0)
+            power_in_q("delta", 3, 0)
+        with pytest.raises(ValueError):
+            p_r_series(18, 0)
+
+    @pytest.mark.parametrize("gen,g", [("delta", delta_series), ("F", f_series),
+                                       ("C", c_series)])
+    def test_generator_powers_match_q_domain(self, gen, g):
+        n = 4096
+        base = g(n)
+        for e in range(1, 65):
+            got = power_in_q(gen, e, n)
+            assert got.valid_len == n
+            assert np.array_equal(got.bits(), square_and_multiply(base, e, n).bits()), e
+        assert power_in_q(gen, 0, n) == F2Series.one(n)
 
     def test_progression_support_all_r_to_256(self):
         for r in range(1, 257):
