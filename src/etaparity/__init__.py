@@ -15,6 +15,6 @@ from .density import (DensityEstimate, EmptyScanError, PrecisionError, PrimeSiev
                       eta_density_direct, eta_density_exact,
                       eta_density_formula, mu_delta, odd_coeff_density,
                       verify_bounds)
-from .walks import ParityTable, delta_ell, emit_walk, partition_parity
+from .walks import delta_ell, emit_walk, partition_parity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import inspect
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -108,10 +109,32 @@ def _density_rows(r: int, prime_bound: int):
     return rows, routes_ok and exact_ok
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text sink on a sibling file of PATH that replaces PATH when the
+    block completes.  Opening it fails fast on an unwritable directory, and a
+    block that raises leaves PATH as it was (absent, or its old contents).
+    A symlink is followed; a pipe or device such as /dev/stdout is written
+    directly, since it cannot be replaced."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as sink:
+            yield sink
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as sink:
+            yield sink
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_density(args) -> int:
     r_values = _parse_r_spec(args.r)
-    # the sink is opened before the scans, so an unwritable --out fails fast
-    with (open(args.out, "w", newline="") if args.out
+    with (_replacing(args.out) if args.out
           else contextlib.nullcontext(sys.stdout)) as sink:
         all_rows: list[dict] = []
         ok = True

@@ -156,3 +156,12 @@ def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[in
               for c in range(m) if math.gcd(c, m) == 1}
     formula = sum(int(series.coeffs_at(u * primes).sum()) for u in shifts)
     return direct, formula
+
+
+def walk_csv_reference(steps, sums) -> bytes:
+    """The walk CSV written one f-string per row, the format's definition."""
+    rows = ["n,step,sum,sqrt_band,two_sqrt_band"]
+    for i, (s, c) in enumerate(zip(steps, sums), start=1):
+        b = math.sqrt(i)
+        rows.append(f"{i},{int(s)},{int(c)},{b:.3f},{2 * b:.3f}")
+    return ("\n".join(rows) + "\n").encode()

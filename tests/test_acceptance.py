@@ -123,7 +123,7 @@ def test_criterion_10_appendix(tmp_path):
     n = 10_000
     product = mask_to_bits(naive_eta_product_mask(n), n)
     oracle = naive_series_inverse_bits(product, n)
-    parity_ok = np.array_equal(partition_parity(n).parities(), oracle)
+    parity_ok = np.array_equal(partition_parity(n).bits(), oracle)
 
     start = time.perf_counter()
     emit_walk("all", 1_000_000, str(tmp_path / "walk.csv"))

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import stat
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -186,6 +189,42 @@ def test_unwritable_density_out_fails_before_scanning(tmp_path, monkeypatch, cap
     assert exit_code(["density", "--r", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+def test_failed_density_run_creates_no_out(tmp_path):
+    out = tmp_path / "x.csv"
+    assert exit_code(["density", "--r", "1", "--prime-bound", "4",
+                      "--format", "csv", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_density_run_keeps_existing_out(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("earlier table\n")
+    assert exit_code(["density", "--r", "1", "--prime-bound", "4",
+                      "--format", "csv", "--out", str(out)]) == 2
+    assert out.read_text() == "earlier table\n"
+    assert exit_code(["density", "--r", "9", "--prime-bound", "2000",
+                      "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().startswith("r,") and list(tmp_path.iterdir()) == [out]
+
+
+def test_density_out_follows_symlinks_and_writes_pipes(tmp_path):
+    table, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    link.symlink_to(table)
+    argv = ["density", "--r", "9", "--prime-bound", "2000", "--format", "csv"]
+    assert exit_code(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and table.read_text().startswith("r,")
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert exit_code(argv + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got[0] == table.read_text()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_unwritable_walk_out_exits_two(tmp_path, capsys):

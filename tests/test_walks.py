@@ -4,40 +4,42 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from etaparity import cli, walks
 from etaparity.genforms import pentagonal_numbers
 from etaparity.walks import (delta_ell, delta_ell_from_window, emit_walk,
-                             first_primes_ge5, partition_parity, walk_arrays,
-                             walk_points)
+                             first_primes_ge5, partition_parity, walk_arrays)
 
 from oracles import (exact_partitions, mask_to_bits, naive_eta_product_mask,
-                     naive_series_inverse_bits)
+                     naive_series_inverse_bits, walk_csv_reference)
 
 
 class TestPartitionParity:
     def test_first_ten(self):
         table = partition_parity(11)
-        assert list(table.parities()[1:]) == [1, 0, 1, 1, 1, 1, 1, 0, 0, 0]
-        assert table.parity(0) == 1
+        assert list(table.bits()[1:]) == [1, 0, 1, 1, 1, 1, 1, 0, 0, 0]
+        assert table.coeff(0) == 1
 
     def test_against_exact_partitions(self):
         exact = exact_partitions(60)
         table = partition_parity(61)
-        assert [p % 2 for p in exact] == list(table.parities())
+        assert [p % 2 for p in exact] == list(table.bits())
 
     def test_delta5_value(self):
         # p(delta_5) = p(4) = 5, odd
-        assert partition_parity(5).parity(4) == 1
+        assert partition_parity(5).coeff(4) == 1
 
     def test_against_generic_inversion(self):
         n = 2000
         product = mask_to_bits(naive_eta_product_mask(n), n)
         inv = naive_series_inverse_bits(product, n)
-        assert np.array_equal(partition_parity(n).parities(), inv)
+        assert np.array_equal(partition_parity(n).bits(), inv)
 
     def test_pentagonal_recurrence_holds(self):
         n = 4000
-        par = partition_parity(n).parities()
+        par = partition_parity(n).bits()
         gs = pentagonal_numbers(n)
         for m in range(1, n, 97):
             acc = 0
@@ -79,11 +81,13 @@ class TestWalks:
         assert set(np.unique(steps)) <= {-1, 1}
         assert np.all(np.abs(np.diff(sums)) == 1)
 
-    def test_point_rows(self):
-        points = walk_points("all", 100)
-        assert points[99].band1 == 10.0 and points[99].band2 == 20.0
-        assert all(abs(a.total - b.total) == 1
-                   for a, b in zip(points, points[1:]))
+    def test_point_rows(self, tmp_path):
+        out = tmp_path / "walk.csv"
+        emit_walk("all", 100, str(out))
+        last = out.read_text().splitlines()[-1].split(",")
+        assert last[0] == "100" and last[3:] == ["10.000", "20.000"]
+        steps, sums = walk_arrays("all", 100)
+        assert sums[0] == steps[0] and np.all(np.abs(np.diff(sums)) == 1)
 
     def test_first_primes(self):
         assert list(first_primes_ge5(5)) == [5, 7, 11, 13, 17]
@@ -104,3 +108,68 @@ class TestWalks:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             walk_arrays("bogus", 10)
+
+
+def cell_strings(cells) -> list[str]:
+    chars, keep = cells
+    return [bytes(row[mask]).decode() for row, mask in zip(chars, keep)]
+
+
+class TestWalkWriter:
+    """The numpy row writer against the f-string rows that define the format."""
+
+    @pytest.mark.parametrize("n", [
+        1, 9, 10, 99, 100,
+        walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7])
+    def test_all_walk_bytes(self, n, tmp_path):
+        out = tmp_path / "walk.csv"
+        emit_walk("all", n, str(out))
+        assert out.read_bytes() == walk_csv_reference(*walk_arrays("all", n))
+
+    def test_delta_subseq_bytes(self, tmp_path):
+        out = tmp_path / "walk.csv"
+        emit_walk("delta-subseq", 5000, str(out))
+        assert out.read_bytes() == walk_csv_reference(*walk_arrays("delta-subseq", 5000))
+
+    @pytest.mark.parametrize("n,factor", [
+        (793212, 1.0), (999999, 1.0), (198303, 2.0), (440980, 2.0)])
+    def test_near_tie_rows(self, n, factor):
+        # factor*sqrt(n)*1000 lies within 1e-6 of a half, so the cell comes
+        # from the exact-rounding fallback
+        x = factor * np.sqrt(np.array([n], dtype=np.int64))
+        k = np.rint(x * 1000)
+        assert abs(abs(x[0] * 1000 - k[0]) - 0.5) < 1e-6
+        assert cell_strings(walks._band_cells(x)) == [format(x[0], ".3f")]
+
+    @given(st.lists(st.floats(0, 1e5, exclude_max=True), min_size=1, max_size=50))
+    @example([0.0625, 1.0625, 2.5625])  # exact dyadic ties: round half to even
+    @example([0.0005, 0.1235, 12.3455])  # x*1000 rounds onto a half; x does not
+    def test_band_cells_match_format(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert cell_strings(walks._band_cells(x)) == [format(v, ".3f") for v in values]
+
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=50))
+    @example([0, -1, 1, -10, 10, -2**63, 2**63 - 1])
+    def test_int_cells_match_str(self, values):
+        x = np.array(values, dtype=np.int64)
+        assert cell_strings(walks._int_cells(x)) == [str(v) for v in values]
+
+
+class TestWalkMemoryCheck:
+    def test_estimate_covers_steps_and_sums(self):
+        for kind in walks.WALK_KINDS:
+            assert walks._walk_bytes(kind, 10**6) >= 16 * 10**6
+
+    def test_too_large_walk_exits_two_before_allocating(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(n):
+            raise AssertionError("partition parities built despite the memory check")
+
+        monkeypatch.setattr(walks, "_physical_memory", lambda: 16 * 1000)
+        monkeypatch.setattr(walks, "partition_parity", must_not_run)
+        monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
+        out = tmp_path / "walk.csv"
+        for kind in walks.WALK_KINDS:
+            code = cli.main(["walk", "--kind", kind, "--n", "1000", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1 and "physical memory" in err
+        assert not out.exists()
