@@ -47,23 +47,6 @@ def digit_stats(a: int) -> DigitStats:
     return DigitStats(a, d, _v2(a), d - u, u)
 
 
-def chebyshev_mod2(n: int, deg_max: int) -> int:
-    """Coefficients of S̄_n up to degree deg_max, packed bit i = [x^i].
-
-    Truncation during the recurrence is safe: multiplication by x only
-    moves coefficients up, never down.
-    """
-    if n < 0 or deg_max < 0:
-        raise ValueError("n and deg_max must be nonnegative")
-    if n == 0:
-        return 0  # S_0 = 2
-    mask = (1 << (deg_max + 1)) - 1
-    prev2, cur = 0, 0b10 & mask  # S̄_0, S̄_1
-    for _ in range(2, n + 1):
-        prev2, cur = cur, ((cur << 1) & mask) ^ prev2
-    return cur
-
-
 def binom_val_eq_n_val(n: int, k: int) -> bool:
     """Whether v2(C(n,k)) = v2(n), for odd k, decided on base-2 digits.
 

@@ -110,20 +110,21 @@ def _density_rows(r: int, prime_bound: int):
 
 
 @contextlib.contextmanager
-def _replacing(path: str):
-    """A text sink on a sibling file of PATH that replaces PATH when the
-    block completes.  Opening it fails fast on an unwritable directory, and a
-    block that raises leaves PATH as it was (absent, or its old contents).
-    A symlink is followed; a pipe or device such as /dev/stdout is written
-    directly, since it cannot be replaced."""
+def _replacing(path: str, mode: str = "w"):
+    """A sink (text, or binary for mode "wb") on a sibling file of PATH that
+    replaces PATH when the block completes.  Opening it fails fast on an
+    unwritable directory, and a block that raises leaves PATH as it was
+    (absent, or its old contents).  A symlink is followed; a pipe or device
+    such as /dev/stdout is written directly, since it cannot be replaced."""
     path = os.path.realpath(path)
+    newline = None if "b" in mode else ""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline="") as sink:
+        with open(path, mode, newline=newline) as sink:
             yield sink
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as sink:
+        with open(tmp, mode, newline=newline) as sink:
             yield sink
         os.replace(tmp, path)
     except BaseException:
@@ -180,8 +181,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    path = walks.emit_walk(args.kind, args.n, args.out)
-    print(f"wrote {args.n} rows to {path}")
+    with _replacing(args.out, "wb") as sink:
+        walks.emit_walk(args.kind, args.n, sink)
+    print(f"wrote {args.n} rows to {args.out}")
     return 0
 
 

@@ -75,11 +75,6 @@ class PrimeSieve:
         arr = self._primes
         return arr[(arr >= lo) & (arr <= hi)]
 
-    def primes_in_class(self, modulus: int, residue: int,
-                        lo: int = 2, hi: int | None = None) -> np.ndarray:
-        ps = self.primes(lo, hi)
-        return ps[ps % modulus == residue % modulus]
-
 
 _sieve: PrimeSieve | None = None
 

@@ -13,10 +13,14 @@ Each has the form g(q) = q * h(q^s) (table ``GENERATORS``):
     F     = q * H(q^3),    H   = sum of y^((k^2-1)/3) over k >= 1, 3 ∤ k.
 
 So g^e = q^e * h^e(q^s), and n coefficients of g^e need only about n/s
-coefficients of h^e.  ``generator_power`` builds h^e (a Frobenius product,
-see ``f2series.power``) and caches it by (generator, e) at the largest
-precision asked for; ``power_in_q`` is its view in q.  Every generator
-power in the package comes from that one cache.
+coefficients of h^e.  ``generator_power`` caches h^e by (generator, e) at
+the largest precision asked for, and builds a missing power from that
+cache: an odd h^e with top bit 2^t is the cached h^(e - 2^t) times the
+dilation h(y^(2^t)), one sparse multiply, and an even h^e is its odd part
+dilated, with no multiply.  This is the Frobenius product of
+``f2series.power``, densest factor first, with every partial product kept.
+``power_in_q`` is the view in q.  Every generator power in the package
+comes from that one cache.
 
 The normalized eta power for exponent r reduces mod 2 to delta^(b_r) when
 3 | r and to C^(b_r) otherwise (``EtaPowerParams.generator``), so
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2series import F2Series, power
+from .f2series import F2Series, mul, substitute_qk
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,24 @@ def generator_power(gen: str, e: int, n: int) -> F2Series:
     """h^e to at least n coefficients, where the generator g(q) = q * h(q^s).
 
     Cached by (gen, e); a request beyond the cached precision rebuilds at
-    the requested one, so the cache keeps the largest precision seen.
+    the requested one, so the cache keeps the largest precision seen.  A
+    miss is built from the cache: even e = 2^v * o dilates h^o, and odd
+    e with top bit 2^t is h^(e - 2^t) * h(y^(2^t)), one sparse multiply.
     """
     if e < 0 or n < 1:
         raise ValueError("need e >= 0 and n >= 1")
     got = _powers.get((gen, e))
     if got is None or got.valid_len < n:
         h = GENERATORS[gen][0]
-        got = F2Series.one(n) if e == 0 else power(h(n), e, n)
+        if e <= 1:
+            got = F2Series.one(n) if e == 0 else h(n)
+        elif e % 2 == 0:
+            k = e & -e
+            got = substitute_qk(generator_power(gen, e // k, -(-n // k)), k, n)
+        else:
+            k = 1 << (e.bit_length() - 1)
+            got = mul(generator_power(gen, e - k, n),
+                      substitute_qk(h(-(-n // k)), k, n), n)
         _powers[(gen, e)] = got
     return got
 

@@ -88,12 +88,6 @@ def clmul(a: int, b: int) -> int:
     return out
 
 
-def genpoly_mul(p: GenPoly, q: GenPoly) -> GenPoly:
-    if p.level != q.level:
-        raise ValueError("mixed levels")
-    return GenPoly.from_mask(p.level, clmul(p.mask(), q.mask()))
-
-
 def genpoly_pow(p: GenPoly, e: int) -> GenPoly:
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -179,7 +173,6 @@ class CodeMatrix:
     """Window of dual coordinates c(a,b) = a_1(T_3^a T_5^b f) of a level-1 form."""
 
     entries: np.ndarray
-    origin: str
 
     def __eq__(self, other):
         if not isinstance(other, CodeMatrix):
@@ -212,7 +205,7 @@ def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> CodeMatrix:
                 col = hecke_on_genpoly(col, 5)
         if a + 1 < a_max:
             row = hecke_on_genpoly(row, 3)
-    return CodeMatrix(entries, origin=repr(p))
+    return CodeMatrix(entries)
 
 
 def is_dihedral_window(c: CodeMatrix) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import BinaryIO
 
 import numpy as np
 
@@ -39,18 +40,6 @@ def delta_ell(ell: int) -> int:
     if ell in (2, 3) or not is_prime(ell):
         raise ValueError("defined for primes >= 5 only")
     return pow(24, -1, ell)
-
-
-def delta_ell_from_window(ell: int) -> int:
-    """delta_ell recovered from the shift-window convention with (m, b) = (24, -1).
-
-    mu solves ell*mu ≡ -1 (mod 24) in the window [-1/ell, -1/ell + 24);
-    the index (ell*mu + 1)/24 equals 24^-1 mod ell.
-    """
-    if ell in (2, 3) or not is_prime(ell):
-        raise ValueError("defined for primes >= 5 only")
-    mu = (-pow(ell, -1, 24)) % 24
-    return (ell * mu + 1) // 24
 
 
 def _nth_prime_bound(count: int) -> int:
@@ -177,12 +166,11 @@ def _row_bytes(first: int, steps: np.ndarray, sums: np.ndarray) -> bytes:
     return np.hstack(chars)[np.hstack(keep)].tobytes()
 
 
-def emit_walk(kind: str, n: int, out: str) -> str:
-    """Write the walk as CSV (columns fixed: n, step, sum, sqrt_band, two_sqrt_band)."""
+def emit_walk(kind: str, n: int, out: BinaryIO) -> None:
+    """Write the walk as CSV to the open binary file `out` (columns fixed:
+    n, step, sum, sqrt_band, two_sqrt_band)."""
     steps, sums = walk_arrays(kind, n)
-    with open(out, "wb") as fh:
-        fh.write((",".join(WALK_COLUMNS) + "\n").encode())
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            fh.write(_row_bytes(start + 1, steps[start:stop], sums[start:stop]))
-    return out
+    out.write((",".join(WALK_COLUMNS) + "\n").encode())
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        out.write(_row_bytes(start + 1, steps[start:stop], sums[start:stop]))

@@ -76,6 +76,36 @@ def trial_division_primes(n: int) -> list[int]:
             if p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
+def delta_ell_from_window(ell: int) -> int:
+    """delta_ell recovered from the shift-window convention with (m, b) = (24, -1).
+
+    mu solves ell*mu ≡ -1 (mod 24) in the window [-1/ell, -1/ell + 24);
+    the index (ell*mu + 1)/24 equals 24^-1 mod ell.
+    """
+    if ell < 5 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
+        raise ValueError("defined for primes >= 5 only")
+    mu = (-pow(ell, -1, 24)) % 24
+    return (ell * mu + 1) // 24
+
+
+def chebyshev_mod2(n: int, deg_max: int) -> int:
+    """Coefficients of S̄_n up to degree deg_max, packed bit i = [x^i], by
+    the recurrence S_n = x*S_{n-1} - S_{n-2} from S_0 = 2, S_1 = x.
+
+    Truncation during the recurrence is safe: multiplication by x only
+    moves coefficients up, never down.
+    """
+    if n < 0 or deg_max < 0:
+        raise ValueError("n and deg_max must be nonnegative")
+    if n == 0:
+        return 0  # S_0 = 2
+    mask = (1 << (deg_max + 1)) - 1
+    prev2, cur = 0, 0b10 & mask  # S̄_0, S̄_1
+    for _ in range(2, n + 1):
+        prev2, cur = cur, ((cur << 1) & mask) ^ prev2
+    return cur
+
+
 def odd_square_triple_parity(n_max: int) -> set[int]:
     """Exponents below n_max hit by an odd number of ordered triples of odd squares."""
     squares = [k * k for k in range(1, math.isqrt(n_max) + 1, 2)]
@@ -103,7 +133,9 @@ def binom_v2(n: int, k: int) -> int:
 
 def square_and_multiply(f, e: int, n: int):
     """f**e to n coefficients by square-and-multiply in q (Frobenius squaring)."""
-    from etaparity.f2series import mul, substitute_qk
+    from etaparity.f2series import F2Series, mul, substitute_qk
+    if e == 0:
+        return F2Series.one(n)
     base = f.truncate(min(n, f.valid_len))
     acc = base
     for bit in bin(e)[3:]:

@@ -126,7 +126,8 @@ def test_criterion_10_appendix(tmp_path):
     parity_ok = np.array_equal(partition_parity(n).bits(), oracle)
 
     start = time.perf_counter()
-    emit_walk("all", 1_000_000, str(tmp_path / "walk.csv"))
+    with open(tmp_path / "walk.csv", "wb") as fh:
+        emit_walk("all", 1_000_000, fh)
     walk_seconds = time.perf_counter() - start
     walk_ok = walk_seconds < 60.0
 

@@ -5,10 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from etaparity.cheby import (INFINITE_VALUATION, binom_val_eq_n_val,
-                             chebyshev_mod2, coeff_xa_in_Sn,
-                             combinatorial_count, digit_stats)
+                             coeff_xa_in_Sn, combinatorial_count, digit_stats)
 
-from oracles import binom_v2
+from oracles import binom_v2, chebyshev_mod2
 
 
 class TestDigitStats:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaparity import cli
+from etaparity import cli, walks
 from etaparity.cli import main
 
 
@@ -227,11 +227,26 @@ def test_density_out_follows_symlinks_and_writes_pipes(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
-def test_unwritable_walk_out_exits_two(tmp_path, capsys):
+def test_unwritable_walk_out_exits_two(tmp_path, monkeypatch, capsys):
+    def must_not_run(kind, n):
+        raise AssertionError("walk built before the output was opened")
+
+    monkeypatch.setattr(walks, "walk_arrays", must_not_run)
     out = tmp_path / "missing" / "walk.csv"
     assert exit_code(["walk", "--n", "10", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "No such file or directory" in err
+
+
+def test_failed_walk_keeps_existing_out(tmp_path, monkeypatch):
+    out = tmp_path / "walk.csv"
+    out.write_text("earlier walk\n")
+    monkeypatch.setattr(walks, "_physical_memory", lambda: 16 * 1000)
+    assert exit_code(["walk", "--n", "1000", "--out", str(out)]) == 2
+    assert out.read_text() == "earlier walk\n" and list(tmp_path.iterdir()) == [out]
+    monkeypatch.undo()
+    assert exit_code(["walk", "--n", "10", "--out", str(out)]) == 0
+    assert out.read_text().startswith("n,step,") and list(tmp_path.iterdir()) == [out]
 
 
 def _rows_pass(direct: dict, formula: dict) -> bool:

@@ -31,7 +31,8 @@ class TestPrimeSieve:
 
     def test_residue_classes(self):
         sieve = PrimeSieve(200)
-        ps = sieve.primes_in_class(8, 3, lo=5)
+        ps = sieve.primes(lo=5)
+        ps = ps[ps % 8 == 3]
         assert list(ps)[:4] == [3, 11, 19, 43][1:] + [59]
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etaparity import genforms
@@ -182,6 +182,86 @@ class TestEtaPowers:
             params = EtaPowerParams.for_power(r)
             s = p_r_series(r, params.b_r + 64 * params.m_r)
             assert np.all(s.support() % params.m_r == params.b_r % params.m_r), r
+
+
+GENERATOR_SERIES = {"delta": delta_series, "C": c_series, "F": f_series}
+
+
+def counting_mul(monkeypatch):
+    """Replace genforms.mul by a wrapper that records its operands' lengths."""
+    operands = []
+
+    def counted(f, g, n_out=None):
+        operands.append((f.valid_len, g.valid_len))
+        return mul(f, g, n_out)
+
+    monkeypatch.setattr(genforms, "mul", counted)
+    return operands
+
+
+class TestGeneratorPowerCache:
+    """Each missing h^e is built from the cache: h^(e - 2^t) times one
+    dilated factor for odd e, its odd part dilated for even e."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(GENERATOR_SERIES)),
+                              st.integers(0, 600),
+                              st.lists(st.integers(1, 4096), min_size=1, max_size=3)),
+                    min_size=1, max_size=6))
+    @example([("delta", 7, [300, 4096, 50]), ("delta", 3, [4096]),
+              ("delta", 14, [2000])])
+    @example([("C", 5, [200]), ("C", 13, [100, 3000]), ("C", 26, [4096, 10])])
+    @example([("F", 0, [1, 7]), ("F", 600, [600, 601, 4096]), ("F", 1, [4096])])
+    def test_requests_match_square_and_multiply(self, requests):
+        # runs of requests for one (gen, e) at rising and falling n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(genforms, "_powers", {})
+            for gen, e, ns in requests:
+                s = genforms.GENERATORS[gen][1]
+                for n in ns:
+                    got = power_in_q(gen, e, n)
+                    want = square_and_multiply(GENERATOR_SERIES[gen](n), e, n)
+                    assert got.valid_len == n
+                    assert np.array_equal(got.bits(), want.bits()), (gen, e, n)
+                    if n > e:
+                        length = (n - e - 1) // s + 1
+                        assert generator_power(gen, e, length).valid_len >= length
+            # every cached power, requested or a prefix, is h^e to its length
+            for (gen, e), got in genforms._powers.items():
+                h, n = genforms.GENERATORS[gen][0], got.valid_len
+                want = F2Series.one(n) if e == 0 else power(h(n), e, n)
+                assert np.array_equal(got.bits(), want.bits()), (gen, e, n)
+
+    def test_one_multiply_per_new_power(self, monkeypatch):
+        monkeypatch.setattr(genforms, "_powers", {})
+        operands = counting_mul(monkeypatch)
+        n = 1000
+        generator_power("delta", 3, n)
+        assert len(operands) == 1
+        operands.clear()
+        generator_power("delta", 7, n)  # h^3 * h(y^4)
+        assert len(operands) == 1
+        operands.clear()
+        generator_power("delta", 14, n)  # h^7 dilated
+        generator_power("delta", 56, n)
+        assert operands == []
+        # at 2n, h^1, h^3 and h^7 are rebuilt; no operand is a shorter prefix
+        generator_power("delta", 7, 2 * n)
+        assert len(operands) == 2
+        assert all(min(lens) >= 2 * n for lens in operands)
+        assert [genforms._powers[("delta", e)].valid_len for e in (1, 3, 7)] == [2 * n] * 3
+        for e in (7, 14, 56):
+            got = generator_power("delta", e, n)
+            assert got == power(triangular_theta(n), e, n), e
+
+    def test_cold_power_costs_its_frobenius_product(self, monkeypatch):
+        # h^e from an empty cache takes popcount(odd part of e) - 1 multiplies,
+        # as the product over the bits of e does
+        for e in (1, 2, 5, 11, 0b1011011 << 2, 255):
+            monkeypatch.setattr(genforms, "_powers", {})
+            operands = counting_mul(monkeypatch)
+            generator_power("C", e, 5000)
+            assert len(operands) == bin(e).count("1") - 1, e
 
 
 ODD = (2, frozenset({1}))

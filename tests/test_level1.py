@@ -5,8 +5,8 @@ import pytest
 
 from etaparity.f2series import F2Series
 from etaparity.genforms import c_series, delta_series
-from etaparity.level1 import (CodeMatrix, DyadicRational, GenPoly, code_matrix,
-                              dihedral_density, genpoly_mul, genpoly_pow,
+from etaparity.level1 import (CodeMatrix, DyadicRational, GenPoly, clmul,
+                              code_matrix, dihedral_density, genpoly_pow,
                               genpoly_series, hecke_on_genpoly,
                               is_dihedral_window, to_genpoly)
 
@@ -28,7 +28,8 @@ class TestGenPoly:
 
     def test_mul_and_pow(self):
         c = GenPoly(9, frozenset({1, 4}))
-        assert genpoly_mul(c, c) == GenPoly(9, frozenset({2, 8}))
+        assert GenPoly.from_mask(9, clmul(c.mask(), c.mask())) == \
+            GenPoly(9, frozenset({2, 8}))
         assert genpoly_pow(c, 5).exponents == frozenset({5, 8, 17, 20})
 
 
@@ -132,13 +133,13 @@ class TestCodeMatrix:
         assert np.array_equal(shifted.entries, whole.entries[:, 1:])
 
     def test_dihedral_window_flags(self):
-        zero = CodeMatrix(np.zeros((3, 3), dtype=np.uint8), "zero")
+        zero = CodeMatrix(np.zeros((3, 3), dtype=np.uint8))
         assert is_dihedral_window(zero)
         axes = np.zeros((3, 3), dtype=np.uint8)
         axes[2, 0] = axes[0, 1] = 1
-        assert is_dihedral_window(CodeMatrix(axes, "axes"))
+        assert is_dihedral_window(CodeMatrix(axes))
         axes[1, 2] = 1
-        assert not is_dihedral_window(CodeMatrix(axes, "off-axis"))
+        assert not is_dihedral_window(CodeMatrix(axes))
 
 
 class TestDyadicRational:

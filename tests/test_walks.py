@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from etaparity import cli, walks
 from etaparity.genforms import pentagonal_numbers
-from etaparity.walks import (delta_ell, delta_ell_from_window, emit_walk,
-                             first_primes_ge5, partition_parity, walk_arrays)
+from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
+                             partition_parity, walk_arrays)
 
-from oracles import (exact_partitions, mask_to_bits, naive_eta_product_mask,
-                     naive_series_inverse_bits, walk_csv_reference)
+from oracles import (delta_ell_from_window, exact_partitions, mask_to_bits,
+                     naive_eta_product_mask, naive_series_inverse_bits,
+                     walk_csv_reference)
+
+
+def write_walk(kind, n, path):
+    with open(path, "wb") as fh:
+        emit_walk(kind, n, fh)
 
 
 class TestPartitionParity:
@@ -83,7 +89,7 @@ class TestWalks:
 
     def test_point_rows(self, tmp_path):
         out = tmp_path / "walk.csv"
-        emit_walk("all", 100, str(out))
+        write_walk("all", 100, out)
         last = out.read_text().splitlines()[-1].split(",")
         assert last[0] == "100" and last[3:] == ["10.000", "20.000"]
         steps, sums = walk_arrays("all", 100)
@@ -94,7 +100,7 @@ class TestWalks:
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "walk.csv"
-        emit_walk("all", 200, str(out))
+        write_walk("all", 200, out)
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 200
@@ -123,12 +129,12 @@ class TestWalkWriter:
         walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7])
     def test_all_walk_bytes(self, n, tmp_path):
         out = tmp_path / "walk.csv"
-        emit_walk("all", n, str(out))
+        write_walk("all", n, out)
         assert out.read_bytes() == walk_csv_reference(*walk_arrays("all", n))
 
     def test_delta_subseq_bytes(self, tmp_path):
         out = tmp_path / "walk.csv"
-        emit_walk("delta-subseq", 5000, str(out))
+        write_walk("delta-subseq", 5000, out)
         assert out.read_bytes() == walk_csv_reference(*walk_arrays("delta-subseq", 5000))
 
     @pytest.mark.parametrize("n,factor", [
