@@ -6,15 +6,14 @@ from .genforms import (CongruenceTheta, EtaPowerParams, c_series,
                        congruence_theta, delta_series, eta_product_pnt,
                        f_series, generator_power, p_r_series, power_in_q,
                        triangular_theta)
-from .hecke import HeckeOpSpec, t_op, u_op, v_op
+from .hecke import t_op, u_op, v_op
 from .level1 import (CodeMatrix, DyadicRational, GenPoly, code_matrix,
                      dihedral_density, genpoly_series, hecke_on_genpoly,
                      is_dihedral_window, to_genpoly)
-from .density import (DensityEstimate, EmptyScanError, PrecisionError, PrimeSieve,
-                      SubseqIndex, eta_density_decomposition,
+from .density import (DensityEstimate, EmptyScanError, PrecisionError,
                       eta_density_direct, eta_density_exact,
-                      eta_density_formula, mu_delta, odd_coeff_density,
-                      verify_bounds)
+                      eta_density_formula, odd_coeff_density, verify_bounds)
+from .primes import PrimeSieve
 from .walks import delta_ell, emit_walk, partition_parity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -115,18 +115,23 @@ def _replacing(path: str, mode: str = "w"):
     replaces PATH when the block completes.  Opening it fails fast on an
     unwritable directory, and a block that raises leaves PATH as it was
     (absent, or its old contents).  A symlink is followed; a pipe or device
-    such as /dev/stdout is written directly, since it cannot be replaced."""
-    path = os.path.realpath(path)
+    such as /dev/stdout is written directly, since it cannot be replaced.
+    An error in opening the sibling file names PATH."""
+    target = os.path.realpath(path)
     newline = None if "b" in mode else ""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, newline=newline) as sink:
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, newline=newline) as sink:
             yield sink
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, newline=newline) as sink:
+        sink = open(tmp, mode, newline=newline)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with sink:
             yield sink
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -5,9 +5,9 @@ where a closed form is proven:
 
 * direct: for each prime ell, the bit of P_r at exponent ell * mu(ell, r),
   the leading formal coefficient of the ell-shifted series;
-* by parts: decompose the density as a sum of coefficient densities of Hecke
-  shifts of the generator power (the shift indices depend only on m_r),
-  each estimated by reading bits at u * ell;
+* by parts: the density as a sum of coefficient densities of Hecke shifts
+  of the generator power (the shift indices depend only on m_r), each
+  estimated by reading bits at u * ell;
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
   the two dihedral families, and the handful of abelian eta powers.
 
@@ -32,8 +32,8 @@ import numpy as np
 
 from .f2series import F2Series
 from .genforms import GENERATORS, EtaPowerParams, generator_power
-from .hecke import HeckeOpSpec, is_prime
 from .level1 import DyadicRational
+from .primes import prime_array
 
 TOLERANCE_FLOOR = 0.02
 SIGMA_FACTOR = 4.0
@@ -48,78 +48,9 @@ class EmptyScanError(ValueError):
     """A density scan would cover no primes, so it could estimate nothing."""
 
 
-class PrimeSieve:
-    """Packed primality bits for 0..bound with residue-class iteration."""
-
-    def __init__(self, bound: int):
-        if bound < 2:
-            bound = 2
-        flags = np.ones(bound + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(bound) + 1):
-            if flags[p]:
-                flags[p * p::p] = False
-        self.bound = bound
-        self._packed = np.packbits(flags, bitorder="little")
-        self._primes = np.nonzero(flags)[0].astype(np.int64)
-
-    def is_prime(self, n: int) -> bool:
-        if not 0 <= n <= self.bound:
-            raise ValueError("outside sieve range")
-        return bool((self._packed[n >> 3] >> (n & 7)) & 1)
-
-    def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
-        hi = self.bound if hi is None else hi
-        if hi > self.bound:
-            raise ValueError("beyond sieve bound")
-        arr = self._primes
-        return arr[(arr >= lo) & (arr <= hi)]
-
-
-_sieve: PrimeSieve | None = None
-
-
-def shared_sieve(bound: int) -> PrimeSieve:
-    """Process-wide sieve, regrown geometrically on demand."""
-    global _sieve
-    if _sieve is None or _sieve.bound < bound:
-        _sieve = PrimeSieve(max(bound, 2 * (_sieve.bound if _sieve else 0)))
-    return _sieve
-
-
-def prime_array(lo: int, hi: int) -> np.ndarray:
-    return shared_sieve(hi).primes(lo, hi)
-
-
-@dataclass(frozen=True)
-class SubseqIndex:
-    """The shift data for one prime: ell*mu ≡ b_r (mod m_r) with
-    b_r/ell <= mu < b_r/ell + m_r, and delta = (ell*mu - b_r)/m_r."""
-
-    ell: int
-    r: int
-    mu: int
-    delta: int
-
-
-def mu_delta(ell: int, r: int) -> SubseqIndex:
-    """Order at infinity mu and coefficient index delta of the ell-shift of P_r."""
-    params = EtaPowerParams.for_power(r)
-    if ell in (2, 3) or not is_prime(ell):
-        raise ValueError("shift prime must be a prime >= 5")
-    if params.m_r % ell == 0:
-        raise ValueError("shift prime may not divide the progression modulus")
-    m, b = params.m_r, params.b_r
-    mu0 = 0 if m == 1 else (b * pow(ell % m, -1, m)) % m
-    k = -((mu0 * ell - b) // (ell * m))
-    mu = mu0 + m * k
-    delta, rem = divmod(ell * mu - b, m)
-    assert rem == 0 and delta >= 0 and b <= mu * ell < b + ell * m
-    return SubseqIndex(ell, r, mu, delta)
-
-
 def _mu_array(primes: np.ndarray, m: int, b: int) -> np.ndarray:
-    """Vectorized mu over an array of primes not dividing m."""
+    """mu for each prime ell not dividing m: the solution of ell*mu ≡ b
+    (mod m) in the window b/ell <= mu < b/ell + m."""
     if m == 1:
         return -((-b) // primes)  # ceil(b/ell), the lone value in the window
     inv = np.zeros(m, dtype=np.int64)
@@ -220,43 +151,14 @@ _SHIFTS_BY_MODULUS: dict[int, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class EtaDecomposition:
-    """The parity density as a sum of coefficient densities of operator shifts."""
-
-    r: int
-    m_r: int
-    b_r: int
-    terms: tuple[tuple[HeckeOpSpec | None, str], ...]
-
-
-def eta_density_decomposition(r: int) -> EtaDecomposition:
-    """The operator/form pairs whose coefficient densities sum to the parity density.
-
-    The identity slot is None; odd shifts are T operators, the shift by 2
-    (progression modulus 3) is U_2.
-    """
-    params = EtaPowerParams.for_power(r)
-    form = f"{params.generator}^{params.b_r}"
-    terms = []
-    for u in _SHIFTS_BY_MODULUS[params.m_r]:
-        if u == 1:
-            terms.append((None, form))
-        elif u == 2:
-            terms.append((HeckeOpSpec("U", 2), form))
-        else:
-            terms.append((HeckeOpSpec("T", u), form))
-    return EtaDecomposition(r, params.m_r, params.b_r, tuple(terms))
-
-
 def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density summed over its decomposition into shifted scans:
-    the shift by u reads a_{u*ell}(P_r) for every prime ell."""
+    """The parity density summed over shifted scans: the shift by u reads
+    a_{u*ell}(P_r) for every prime ell, one u per unit class mod m_r (T_u for
+    odd u, U_2 for u = 2)."""
     primes = _scan_primes(prime_bound)
     hits = 0
-    for op, _ in eta_density_decomposition(r).terms:
-        exps = primes if op is None else op.index * primes
-        hits += int(_p_r_bits(r, exps, prime_bound).sum())
+    for u in _SHIFTS_BY_MODULUS[EtaPowerParams.for_power(r).m_r]:
+        hits += int(_p_r_bits(r, u * primes, prime_bound).sum())
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 

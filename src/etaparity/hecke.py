@@ -8,36 +8,8 @@ more coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .f2series import F2Series, add, substitute_qk
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-@dataclass(frozen=True)
-class HeckeOpSpec:
-    """One of the operators T, U, V at a given index (index >= 2)."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in ("T", "U", "V"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.index < 2:
-            raise ValueError("operator index must be >= 2")
+from .primes import is_prime
 
 
 def u_op(f: F2Series, ell: int) -> F2Series:
@@ -61,9 +33,10 @@ def t_op(f: F2Series, ell: int) -> F2Series:
     """
     if ell == 2:
         raise ValueError("T_2 is not available; use u_op for the U_2 shift")
-    if not is_prime(ell):
-        raise ValueError(f"T index must be an odd prime, got {ell}")
+    # the length check goes first: is_prime grows the shared sieve to ell
     if f.valid_len < ell:
         raise ValueError("series too short for this Hecke index")
+    if not is_prime(ell):
+        raise ValueError(f"T index must be an odd prime, got {ell}")
     n = f.valid_len // ell
     return add(u_op(f, ell), v_op(f, ell, n))

@@ -26,7 +26,8 @@ import numpy as np
 from . import cheby
 from .f2series import F2Series, _mask_tail, _nwords
 from .genforms import power_in_q
-from .hecke import is_prime, t_op, u_op
+from .hecke import t_op, u_op
+from .primes import is_prime
 
 LEVELS = (1, 9)
 _LEVEL_GENERATOR = {1: "delta", 9: "F"}
@@ -160,7 +161,7 @@ def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
     else:
         if p.level == 9 and ell == 3:
             raise ValueError("T_3 is not in the level-9 Hecke algebra")
-        if not is_prime(ell) or ell == 2:
+        if not is_prime(ell):
             raise ValueError(f"invalid Hecke index {ell}")
         bound = deg
         series = genpoly_series(p, ell * (bound + 1))

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import prime_array
-from .f2series import F2Series
 from .genforms import CongruenceTheta, congruence_theta
 from .hecke import u_op
 from .level1 import GenPoly, genpoly_pow, genpoly_series
+from .primes import prime_array
 
 _ODD = (2, frozenset({1}))
 _PRIME_TO_3 = (3, frozenset({1, 2}))
@@ -100,7 +99,6 @@ class AbelianFormSpec:
     i: int
     f_exponents: frozenset[int]
     theta: CongruenceTheta
-    series: F2Series
 
     def genpoly(self) -> GenPoly:
         return GenPoly(9, self.f_exponents)
@@ -120,14 +118,14 @@ def abelian_form(i: int, n_check: int = 10_000) -> AbelianFormSpec:
     theta = congruence_theta(theta_spec, n_check)
     if series != theta:
         raise AssertionError(f"alpha_{i}: polynomial and theta expansions disagree")
-    return AbelianFormSpec(i, exps, theta_spec, series)
+    return AbelianFormSpec(i, exps, theta_spec)
 
 
-def verify_abelian_law(i: int, prime_bound: int) -> list[int]:
-    """Primes 5 <= ell <= prime_bound violating a_ell(alpha_i) = [ell ≡ i mod 24]."""
-    form = abelian_form(i)
+def verify_abelian_law(form: AbelianFormSpec, prime_bound: int) -> list[int]:
+    """Primes 5 <= ell <= prime_bound violating a_ell(alpha_i) = [ell ≡ i mod 24],
+    for the form alpha_i built by abelian_form(i)."""
     series = genpoly_series(form.genpoly(), prime_bound + 1)
     primes = prime_array(5, prime_bound)
     bits = series.coeffs_at(primes)
-    want = (primes % 24 == i).astype(np.uint8)
+    want = (primes % 24 == form.i).astype(np.uint8)
     return [int(p) for p in primes[bits != want]]

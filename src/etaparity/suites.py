@@ -175,7 +175,7 @@ def suite_level9(n_max: int = 25, kernel_coeffs: int = 30_000,
     for i in level9.ABELIAN_CLASSES:
         form = level9.abelian_form(i)  # raises if theta and polynomial disagree
         res.add(f"alpha_{i} theta oracle agrees", True)
-        bad = level9.verify_abelian_law(i, prime_bound)
+        bad = level9.verify_abelian_law(form, prime_bound)
         res.add(f"a_ell(alpha_{i}) = [ell = {i} mod 24] to {prime_bound}",
                 not bad, detail=f"counterexamples: {bad[:5]}" if bad else "")
         series = genpoly_series(form.genpoly(), prime_bound + 1)

@@ -16,10 +16,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .density import prime_array
 from .f2series import F2Series, mul, substitute_qk
 from .genforms import eta_product_pnt
-from .hecke import is_prime
+from .primes import is_prime, prime_array
 
 
 def partition_parity(n: int) -> F2Series:

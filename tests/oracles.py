@@ -12,6 +12,7 @@ Frobenius product over the bits of e) is checked bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +75,33 @@ def exact_partitions(n: int) -> list[int]:
 def trial_division_primes(n: int) -> list[int]:
     return [p for p in range(2, n + 1)
             if p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@dataclass(frozen=True)
+class SubseqIndex:
+    """The shift data for one prime: ell*mu ≡ b_r (mod m_r) with
+    b_r/ell <= mu < b_r/ell + m_r, and delta = (ell*mu - b_r)/m_r."""
+
+    ell: int
+    r: int
+    mu: int
+    delta: int
+
+
+def mu_delta(ell: int, r: int) -> SubseqIndex:
+    """Order at infinity mu and coefficient index delta of the ell-shift of P_r,
+    one prime at a time (the scalar reference for ``density._mu_array``)."""
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    if ell < 5 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
+        raise ValueError("shift prime must be a prime >= 5")
+    m, b = 24 // math.gcd(24, r), r // math.gcd(24, r)
+    mu0 = 0 if m == 1 else (b * pow(ell % m, -1, m)) % m
+    k = -((mu0 * ell - b) // (ell * m))
+    mu = mu0 + m * k
+    delta, rem = divmod(ell * mu - b, m)
+    assert rem == 0 and delta >= 0 and b <= mu * ell < b + ell * m
+    return SubseqIndex(ell, r, mu, delta)
 
 
 def delta_ell_from_window(ell: int) -> int:
@@ -159,7 +187,8 @@ def odd_coeff_density_shifted(f, p: int, prime_bound: int):
     without applying the operator (the a_{ell/p} half of T_p vanishes for
     prime ell != p); p = 2 gives the U_2 route.
     """
-    from etaparity.density import DensityEstimate, PrecisionError, prime_array
+    from etaparity.density import DensityEstimate, PrecisionError
+    from etaparity.primes import prime_array
     if f.valid_len <= p * prime_bound:
         raise PrecisionError(
             f"series valid to {f.valid_len} cannot be scanned to {p}*{prime_bound}")

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaparity import cli, walks
+from etaparity import cli, suites, walks
 from etaparity.cli import main
+from etaparity.level9 import ABELIAN_CLASSES
 
 
 def run_cli(*argv):
@@ -189,6 +191,7 @@ def test_unwritable_density_out_fails_before_scanning(tmp_path, monkeypatch, cap
     assert exit_code(["density", "--r", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "No such file or directory" in err
+    assert repr(str(out)) in err and ".tmp" not in err
 
 
 def test_failed_density_run_creates_no_out(tmp_path):
@@ -236,6 +239,7 @@ def test_unwritable_walk_out_exits_two(tmp_path, monkeypatch, capsys):
     assert exit_code(["walk", "--n", "10", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "No such file or directory" in err
+    assert repr(str(out)) in err and ".tmp" not in err
 
 
 def test_failed_walk_keeps_existing_out(tmp_path, monkeypatch):
@@ -277,3 +281,75 @@ def test_density_exit_code_by_input_class(lo, hi, bound):
     assert [row["route"] for row in formula] == ["formula"] * len(direct)
     passed = all(_rows_pass(d, f) for d, f in zip(direct, formula))
     assert code == (0 if passed else 1)
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of the CLI run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _expand_form_is_valid(form: str) -> bool:
+    kind, _, arg = form.partition(":")
+    if kind in ("delta", "C", "F", "pnt"):
+        return not arg
+    if kind in ("P", "alpha") and arg.lstrip("-").isdigit():
+        return int(arg) >= 1 if kind == "P" else int(arg) in ABELIAN_CLASSES
+    return False
+
+
+@settings(max_examples=50, deadline=None)
+@given(form=st.one_of(st.sampled_from(["delta", "C", "F", "pnt", "G", "P:",
+                                       "P:x", "alpha:", "delta:2"]),
+                      st.integers(-3, 150).map("P:{}".format),
+                      st.integers(-1, 25).map("alpha:{}".format)),
+       coeffs=st.integers(-3, 400))
+def test_expand_exit_code_by_input_class(form, coeffs):
+    code, out, err = run_captured(["expand", form, f"--coeffs={coeffs}"])
+    if coeffs < 1 or not _expand_form_is_valid(form):
+        assert code == 2 and out == "" and "Traceback" not in err
+        return
+    support = [int(e) for e in out.split()]
+    assert code == 0 and err == ""
+    assert support == sorted(support) and all(0 <= e < coeffs for e in support)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(walks.WALK_KINDS + ("odd",)), n=st.integers(-2, 60))
+def test_walk_exit_code_by_input_class(kind, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "walk.csv")
+        code, out, err = run_captured(["walk", "--kind", kind, f"--n={n}",
+                                       "--out", path])
+        if kind not in walks.WALK_KINDS or n < 1:
+            assert code == 2 and out == "" and os.listdir(tmp) == []
+            return
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert code == 0 and err == ""
+    assert rows[0] == list(walks.WALK_COLUMNS)
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, n + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(suite=st.sampled_from(sorted(suites.SUITES) + ["all", "none"]),
+       bound=st.one_of(st.none(), st.integers(-5, 3 * suites.MIN_PRIME_BOUND)))
+def test_verify_exit_code_by_input_class(suite, bound):
+    argv = ["verify", "--suite", suite]
+    if bound is not None:
+        argv.append(f"--prime-bound={bound}")
+    code, out, err = run_captured(argv)
+    known = suite in suites.SUITES or suite == "all"
+    if not known or (bound is not None and bound < suites.MIN_PRIME_BOUND):
+        assert code == 2 and out == "" and "Traceback" not in err
+        return
+    reports = json.loads(out)
+    reports = reports if isinstance(reports, list) else [reports]
+    assert [r["suite"] for r in reports] == \
+        (sorted(suites.SUITES) if suite == "all" else [suite])
+    assert code == (0 if all(r["passed"] for r in reports) else 1)

@@ -1,20 +1,22 @@
 """Prime scans, the shift index, both empirical routes, and exact values."""
 
+import math
+
 import numpy as np
 import pytest
 
-from etaparity.density import (EmptyScanError, PrecisionError, PrimeSieve,
-                               eta_density_decomposition,
-                               eta_density_direct, eta_density_exact,
+from etaparity import primes as primes_mod
+from etaparity.density import (_SHIFTS_BY_MODULUS, EmptyScanError, PrecisionError,
+                               _mu_array, eta_density_direct, eta_density_exact,
                                eta_density_formula,
-                               density_report_row, mu_delta, odd_coeff_density,
-                               prime_array, verify_bounds, REPORT_COLUMNS)
+                               density_report_row, odd_coeff_density,
+                               verify_bounds, REPORT_COLUMNS)
 from etaparity.f2series import power
-from etaparity.genforms import c_series, delta_series, p_r_series
-from etaparity.hecke import HeckeOpSpec
+from etaparity.genforms import EtaPowerParams, c_series, delta_series, p_r_series
 from etaparity.level1 import DyadicRational
+from etaparity.primes import PrimeSieve, is_prime, prime_array
 
-from oracles import (odd_coeff_density_shifted, q_domain_route_hits,
+from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
                      trial_division_primes)
 
 BOUND = 20_000
@@ -35,6 +37,15 @@ class TestPrimeSieve:
         ps = ps[ps % 8 == 3]
         assert list(ps)[:4] == [3, 11, 19, 43][1:] + [59]
 
+    def test_is_prime_against_trial_division(self):
+        want = set(trial_division_primes(3000))
+        assert [n for n in range(-5, 3001) if is_prime(n)] == sorted(want)
+
+    def test_is_prime_grows_the_shared_sieve(self, monkeypatch):
+        monkeypatch.setattr(primes_mod, "_sieve", PrimeSieve(100))
+        assert is_prime(10_007) and not is_prime(10_001)
+        assert primes_mod._sieve.bound >= 10_007
+
 
 class TestMuDelta:
     def test_worked_examples(self):
@@ -50,12 +61,18 @@ class TestMuDelta:
     @pytest.mark.parametrize("r", [1, 7, 18, 24, 120, 93, 256])
     @pytest.mark.parametrize("ell", [5, 7, 11, 97, 101])
     def test_window_invariants(self, r, ell):
-        from etaparity.genforms import EtaPowerParams
         p = EtaPowerParams.for_power(r)
         idx = mu_delta(ell, r)
         assert (ell * idx.mu) % p.m_r == p.b_r % p.m_r
         assert p.b_r / ell <= idx.mu < p.b_r / ell + p.m_r
         assert idx.delta == (ell * idx.mu - p.b_r) // p.m_r >= 0
+
+    def test_vectorized_mu_matches_scalar_reference(self):
+        primes = prime_array(5, 2000)
+        for r in range(1, 133):
+            p = EtaPowerParams.for_power(r)
+            want = [mu_delta(int(ell), r).mu for ell in primes]
+            assert _mu_array(primes, p.m_r, p.b_r).tolist() == want, r
 
 
 class TestCoefficientDensity:
@@ -99,20 +116,15 @@ class TestCoefficientDensity:
         assert odd_coeff_density_shifted(c7, 7, BOUND).value < 0.01  # T_7 C^7 = C
 
 
-class TestDecomposition:
-    def test_r18(self):
-        d = eta_density_decomposition(18)
-        assert d.b_r == 3
-        assert d.terms == ((None, "delta^3"), (HeckeOpSpec("T", 3), "delta^3"))
-
-    def test_r35_all_eight(self):
-        d = eta_density_decomposition(35)
-        assert len(d.terms) == 8
-        assert {t[0].index for t in d.terms if t[0]} == {5, 7, 11, 13, 17, 19, 23}
-
-    def test_r40_uses_u2(self):
-        d = eta_density_decomposition(40)
-        assert d.terms == ((None, "C^5"), (HeckeOpSpec("U", 2), "C^5"))
+@pytest.mark.parametrize("m", sorted(_SHIFTS_BY_MODULUS))
+def test_shift_table_spans_least_shifts(m):
+    # for every b prime to m, the least u >= 1 with u*c ≡ b (mod m), as c
+    # runs over the units mod m, takes exactly the tabulated values
+    units = [c for c in range(m) if math.gcd(c, m) == 1]
+    for b in units:
+        least = {next(u for u in range(1, m + 1) if (u * c - b) % m == 0)
+                 for c in units}
+        assert least == set(_SHIFTS_BY_MODULUS[m]), b
 
 
 class TestEtaDensityRoutes:

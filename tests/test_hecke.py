@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from etaparity import primes
 from etaparity.f2series import F2Series, power, substitute_qk
 from etaparity.genforms import c_series, delta_series
-from etaparity.hecke import HeckeOpSpec, t_op, u_op, v_op
+from etaparity.hecke import t_op, u_op, v_op
 
 
 def supp(f):
@@ -90,6 +91,19 @@ class TestT:
     def test_valid_len(self):
         assert t_op(delta_series(100), 7).valid_len == 14
 
+    def test_huge_index_rejected_before_sieving(self, monkeypatch):
+        f = delta_series(100)
+        sieve = primes.shared_sieve
+
+        def bounded(bound):
+            if bound > f.valid_len:
+                raise AssertionError(f"sieve asked for {bound} past the series")
+            return sieve(bound)
+
+        monkeypatch.setattr(primes, "shared_sieve", bounded)
+        with pytest.raises(ValueError, match="too short"):
+            t_op(f, 10**9 + 7)
+
 
 class TestGradingAndDuality:
     @pytest.mark.parametrize("i", [1, 3, 5, 7])
@@ -120,11 +134,3 @@ class TestGradingAndDuality:
         n = 31_000
         f = power(delta_series(n), 7, n)
         assert t_op(t_op(f, 3), 5) == t_op(t_op(f, 5), 3)
-
-
-def test_op_spec_validation():
-    HeckeOpSpec("T", 3)
-    with pytest.raises(ValueError):
-        HeckeOpSpec("W", 3)
-    with pytest.raises(ValueError):
-        HeckeOpSpec("U", 1)

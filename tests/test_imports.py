@@ -1,0 +1,40 @@
+"""Import layering: every module imports on its own, and `primes` is a leaf."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import etaparity
+
+SRC = str(Path(etaparity.__file__).resolve().parent.parent)
+MODULES = sorted(m.name for m in pkgutil.iter_modules(etaparity.__path__))
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    done = run_python(f"import etaparity.{module}")
+    assert done.returncode == 0, done.stderr
+
+
+def test_primes_imports_no_package_module():
+    # loaded from its file as a top-level module, primes has no parent
+    # package, so any import of a sibling module would fail
+    path = Path(SRC) / "etaparity" / "primes.py"
+    done = run_python(
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('primes', {str(path)!r})\n"
+        "mod = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(mod)\n"
+        "assert mod.is_prime(97) and not mod.is_prime(91)\n"
+        "assert not [m for m in sys.modules if m.startswith('etaparity')]\n")
+    assert done.returncode == 0, done.stderr

@@ -98,11 +98,11 @@ class TestAbelianForms:
 
     @pytest.mark.parametrize("i", [7, 13])
     def test_prime_coefficient_law(self, i):
-        assert verify_abelian_law(i, 10_000) == []
+        assert verify_abelian_law(abelian_form(i), 10_000) == []
 
     def test_law_catches_tampering(self):
         # the law must really constrain: a wrong class has many violations
-        from etaparity.density import prime_array
+        from etaparity.primes import prime_array
         spec = abelian_form(5)
         series = genpoly_series(spec.genpoly(), 2001)
         primes = prime_array(5, 2000)
