@@ -132,12 +132,21 @@ class F2Series:
         byte_view = self._words.view(np.uint8)
         return (byte_view[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
 
-    def support(self) -> np.ndarray:
-        """Sorted exponents with coefficient 1 (all below valid_len)."""
-        return np.nonzero(self.bits())[0].astype(np.int64)
+    def support(self, n: int | None = None) -> np.ndarray:
+        """Sorted exponents below n (default valid_len) with coefficient 1."""
+        return np.nonzero(self.bits(n))[0].astype(np.int64)
 
-    def support_size(self) -> int:
-        return int(np.bitwise_count(self._words).sum())
+    def support_size(self, n: int | None = None) -> int:
+        """How many of the first n (default valid_len) coefficients are 1."""
+        if n is None:
+            n = self.valid_len
+        if n > self.valid_len:
+            raise ValueError("requested bits beyond valid_len")
+        full, rem = n >> 6, n & 63
+        count = int(np.bitwise_count(self._words[:full]).sum())
+        if rem:
+            count += (int(self._words[full]) & ((1 << rem) - 1)).bit_count()
+        return count
 
     def is_zero(self) -> bool:
         return not self._words.any()
@@ -194,14 +203,14 @@ def mul(f: F2Series, g: F2Series, n_out: int | None = None) -> F2Series:
 
     Dispatches sparse x dense (XOR-shift the denser operand across the
     sparser support) against dense x dense (slot-spread integer product)
-    on support size.
+    on the support size within the first n_out coefficients.
     """
     n = min(f.valid_len, g.valid_len)
     if n_out is not None:
         n = min(n, n_out)
     if n <= 0:
         return F2Series.zero(max(n, 0))
-    sf, sg = f.support_size(), g.support_size()
+    sf, sg = f.support_size(n), g.support_size(n)
     if min(sf, sg) <= max(1, n // _SPARSE_DIVISOR):
         sparse, dense = (f, g) if sf <= sg else (g, f)
         return _mul_sparse(sparse, dense, n)
@@ -213,11 +222,8 @@ def _mul_sparse(sparse: F2Series, dense: F2Series, n: int) -> F2Series:
     nw = _nwords(min(dense.valid_len, n))
     dwords = dense._words[:nw].copy()
     _mask_tail(dwords, min(dense.valid_len, n))
-    for e in sparse.support():
-        e = int(e)
-        if e >= n:
-            break
-        _xor_shifted(acc, dwords, e)
+    for e in sparse.support(n):
+        _xor_shifted(acc, dwords, int(e))
     _mask_tail(acc, n)
     return F2Series(acc, n)
 
@@ -235,7 +241,7 @@ def _mul_dense(f: F2Series, g: F2Series, n: int) -> F2Series:
     # slots, so the product's slot parities are the GF(2) convolution.
     bits_f = f.bits(min(n, f.valid_len))
     bits_g = g.bits(min(n, g.valid_len))
-    slot = max(int(min(f.support_size(), g.support_size())).bit_length() + 1, 2)
+    slot = max(min(f.support_size(n), g.support_size(n)).bit_length() + 1, 2)
     prod = _spread_int(bits_f, slot) * _spread_int(bits_g, slot)
     raw = prod.to_bytes(2 * n * slot // 8 + 16, "little")
     pbits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),

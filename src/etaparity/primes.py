@@ -2,8 +2,8 @@
 
 Density scans, Hecke indices and the walk's prime subsequence all read the
 same process-wide sieve.  It is regrown to at least double its bound when
-asked beyond it, so a caller that checks one large n pays for a sieve up
-to n: check cheaper preconditions first.
+asked beyond it.  ``is_prime(n)`` past the sieve divides n by the sieve's
+primes up to sqrt(n) instead, so one large n costs a sieve to sqrt(n).
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Whether the integer n is prime, read from the shared sieve."""
+    """Whether the integer n (below 2^63) is prime: read from the shared
+    sieve when it reaches n, else divided by its primes up to sqrt(n)."""
     if n < 2:
         return False
-    return shared_sieve(n).is_prime(n)
+    if _sieve is not None and n <= _sieve.bound:
+        return _sieve.is_prime(n)
+    root = math.isqrt(n)
+    return not np.any(n % shared_sieve(root).primes(2, root) == 0)

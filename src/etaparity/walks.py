@@ -1,11 +1,18 @@
 """Partition parity, the 24-inverse subsequence, and random-walk CSV output.
 
 The parity of p(n) is the n-th coefficient of 1/prod(1-q^k) mod 2.  The
-table is produced by Newton inversion of the pentagonal-number series
-(g -> f*g^2 doubles the trusted length per step, and squaring is free in
-characteristic 2), so building 10^6 parities takes well under a second.
-The classical pentagonal XOR recurrence holds coefficientwise and is
-asserted in the tests rather than used as the engine.
+table is produced by Newton inversion of the pentagonal-number series f:
+g -> f*g(q^2) doubles the trusted length per step, because squaring is
+exponent dilation in characteristic 2.  Each step splits f on exponent
+parity, f = A(q^2) + q*B(q^2), so the even coefficients of f*g(q^2) are
+A*g and the odd ones B*g: two sparse products of half the output length
+on the undilated g, interleaved.  The classical pentagonal XOR recurrence
+holds coefficientwise and is asserted in the tests rather than used as the
+engine.
+
+The CSV rows are built in numpy: each CSV column is a uint8 block with
+one cell per block column and zero bytes as padding, and the stacked
+blocks are transposed and compacted into the row bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .f2series import F2Series, mul, substitute_qk
+from .f2series import F2Series, mul
 from .genforms import eta_product_pnt
 from .primes import is_prime, prime_array
 
@@ -25,20 +32,34 @@ def partition_parity(n: int) -> F2Series:
     """Parities of p(0..n-1) by inverting the pentagonal series mod 2."""
     if n < 1:
         raise ValueError("need at least one parity")
-    f = eta_product_pnt(n)
+    # f = A(q^2) + q*B(q^2), so f*g(q^2) has even part A*g and odd part B*g
+    pent = eta_product_pnt(n).support()
+    half = (n + 1) // 2
+    even = F2Series.from_support(pent[pent % 2 == 0] // 2, half)
+    odd = F2Series.from_support(pent[pent % 2 == 1] // 2, half)
     g = F2Series.one(1)
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        g = mul(f, substitute_qk(g, 2, prec), prec)
+        bits = np.empty(prec, dtype=np.uint8)
+        bits[0::2] = mul(even, g, (prec + 1) // 2).bits()
+        bits[1::2] = mul(odd, g, prec // 2).bits()
+        g = F2Series.from_bits(bits)
     return g
+
+
+def _inverse_24(ell):
+    """The least positive 24^-1 mod ell for ell prime to 6, int or int64
+    array (exact below about 4e17).  Every unit mod 24 is its own inverse,
+    so t = -ell mod 24 makes t*ell + 1 a multiple of 24."""
+    return (-ell % 24 * ell + 1) // 24
 
 
 def delta_ell(ell: int) -> int:
     """The least positive 24^-1 mod ell, for primes ell >= 5."""
     if ell in (2, 3) or not is_prime(ell):
         raise ValueError("defined for primes >= 5 only")
-    return pow(24, -1, ell)
+    return _inverse_24(ell)
 
 
 def _nth_prime_bound(count: int) -> int:
@@ -96,7 +117,7 @@ def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         par = partition_parity(n + 1).bits()[1:n + 1]
     else:
         primes = first_primes_ge5(n)
-        deltas = np.array([pow(24, -1, int(p)) for p in primes], dtype=np.int64)
+        deltas = _inverse_24(primes)
         par = partition_parity(int(deltas.max()) + 1).coeffs_at(deltas)
     steps = 1 - 2 * par.astype(np.int64)
     return steps, np.cumsum(steps)
@@ -106,31 +127,30 @@ def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK = 1 << 14
 
 
-def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each int64 value as right-aligned ASCII in one row of a uint8 matrix,
-    with the mask of the characters that are not left padding."""
+def _int_block(values: np.ndarray) -> np.ndarray:
+    """Each int64 value as right-aligned ASCII in one column of a uint8
+    block of shape (width, len(values)), where a zero byte is padding."""
     neg = values < 0
     mag = values.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)  # wraps to |v|, the int64 minimum too
-    width = len(str(int(mag.max())))
-    chars = np.empty((len(values), width + 1), dtype=np.uint8)
-    keep = np.zeros(chars.shape, dtype=bool)
-    for col in range(width, 0, -1):
-        keep[:, col] = mag > 0
-        chars[:, col] = mag % 10
-        mag //= 10
-    chars += ord("0")
-    keep[:, width] = True  # zero is written "0"
-    rows = np.flatnonzero(neg)
-    sign = width - keep[rows].sum(axis=1)
-    chars[rows, sign] = ord("-")
-    keep[rows, sign] = True
-    return chars, keep
+    digits = len(str(int(mag.max())))
+    width = digits + bool(neg.any())
+    block = np.zeros((width, len(values)), dtype=np.uint8)
+    for row in range(width - 1, width - 1 - digits, -1):
+        q = mag // 10
+        block[row] = mag - 10 * q
+        block[row] += ord("0")
+        if row < width - 1:  # zero is written "0"; other zeros are padding
+            block[row] *= mag > 0
+        mag = q
+    cols = np.flatnonzero(neg)
+    block[np.argmax(block[:, cols] != 0, axis=0) - 1, cols] = ord("-")
+    return block
 
 
-def _band_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _band_block(x: np.ndarray) -> np.ndarray:
     """Cells equal to format(v, ".3f") for non-negative floats v, as for
-    _int_cells."""
+    _int_block."""
     scaled = x * 1000.0
     k = np.rint(scaled)
     # format rounds the exact binary value, but x*1000 is itself rounded:
@@ -139,30 +159,22 @@ def _band_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = k.astype(np.int64)
     for i in near:
         k[i] = int(format(x[i], ".3f").replace(".", ""))
-    whole, keep = _int_cells(k // 1000)
-    frac = k % 1000
-    tail = np.empty((len(k), 4), dtype=np.uint8)
-    tail[:, 0] = ord(".")
-    tail[:, 1] = frac // 100
-    tail[:, 2] = frac // 10 % 10
-    tail[:, 3] = frac % 10
-    tail[:, 1:] += ord("0")
-    return (np.hstack([whole, tail]),
-            np.hstack([keep, np.ones(tail.shape, dtype=bool)]))
+    frac = _int_block(1000 + k % 1000)  # "1ddd": the 1 becomes the point
+    frac[0] = ord(".")
+    return np.vstack([_int_block(k // 1000), frac])
 
 
 def _row_bytes(first: int, steps: np.ndarray, sums: np.ndarray) -> bytes:
     """CSV rows n, step, sum, sqrt(n), 2*sqrt(n) for n = first, first+1, ..."""
     idx = np.arange(first, first + len(steps), dtype=np.int64)
     band = np.sqrt(idx)
-    cells = [_int_cells(idx), _int_cells(steps), _int_cells(sums),
-             _band_cells(band), _band_cells(2 * band)]
-    ones = np.ones((len(idx), 1), dtype=bool)
-    chars, keep = [], []
-    for (c, k), end in zip(cells, ",,,,\n"):
-        chars += [c, np.full((len(idx), 1), ord(end), dtype=np.uint8)]
-        keep += [k, ones]
-    return np.hstack(chars)[np.hstack(keep)].tobytes()
+    blocks = [_int_block(idx), _int_block(steps), _int_block(sums),
+              _band_block(band), _band_block(2 * band)]
+    parts = []
+    for block, end in zip(blocks, ",,,,\n"):
+        parts += [block, np.full((1, len(idx)), ord(end), dtype=np.uint8)]
+    mat = np.ascontiguousarray(np.vstack(parts).T)
+    return mat[mat != 0].tobytes()
 
 
 def emit_walk(kind: str, n: int, out: BinaryIO) -> None:

@@ -41,10 +41,24 @@ class TestPrimeSieve:
         want = set(trial_division_primes(3000))
         assert [n for n in range(-5, 3001) if is_prime(n)] == sorted(want)
 
-    def test_is_prime_grows_the_shared_sieve(self, monkeypatch):
+    def test_is_prime_past_the_sieve_divides_by_its_root_primes(self, monkeypatch):
         monkeypatch.setattr(primes_mod, "_sieve", PrimeSieve(100))
         assert is_prime(10_007) and not is_prime(10_001)
-        assert primes_mod._sieve.bound >= 10_007
+        assert primes_mod._sieve.bound == 100  # isqrt(10_007) = 100
+
+    def test_large_is_prime_sieves_only_to_the_root(self, monkeypatch):
+        sieve = primes_mod.shared_sieve
+
+        def bounded(bound):
+            if bound > 10**5:
+                raise AssertionError(f"sieve asked for {bound}")
+            return sieve(bound)
+
+        monkeypatch.setattr(primes_mod, "_sieve", None)
+        monkeypatch.setattr(primes_mod, "shared_sieve", bounded)
+        assert not is_prime(10**8)
+        assert is_prime(10**9 + 7)
+        assert not is_prime(99_991 * 99_989)  # both factors near the root
 
 
 class TestMuDelta:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etaparity import f2series
 from etaparity.f2series import F2Series, add, mul, power, substitute_qk
-from etaparity.genforms import c_series, delta_series
+from etaparity.genforms import c_series, delta_series, eta_product_pnt
 
 from oracles import conv_mod2, odd_square_triple_parity
 
@@ -99,6 +100,27 @@ class TestMul:
         f, g = F2Series.from_bits(fb), F2Series.from_bits(gb)
         assert f.support_size() > n // 64  # exercises the dense dispatch
         assert np.array_equal(mul(f, g).bits(), conv_mod2(fb, gb, n))
+
+    def test_dispatch_reads_only_the_first_n_coefficients(self, rng, monkeypatch):
+        # the pentagonal series has 1633 terms below 10^6, more than
+        # 2^16 / 64 = 1024, but only 418 below 2^16: sparse
+        def no_dense(f, g, n):
+            raise AssertionError("dense product for a sparse prefix")
+
+        n = 1 << 16
+        f = eta_product_pnt(10**6)
+        assert f.support_size() > n // 64 >= f.support_size(n)
+        gb = (rng.random(n) < 0.5).astype(np.uint8)
+        g = F2Series.from_bits(gb)
+        want = f2series._mul_dense(f, g, n)
+        monkeypatch.setattr(f2series, "_mul_dense", no_dense)
+        assert mul(f, g, n) == want
+
+    @given(series_strategy(), st.integers(0, 160))
+    def test_prefix_support(self, f, n):
+        n = min(n, f.valid_len)
+        assert support_list(f.truncate(n)) == [int(e) for e in f.support(n)]
+        assert f.support_size(n) == len(f.support(n))
 
     @given(series_strategy(), series_strategy())
     @settings(max_examples=60)

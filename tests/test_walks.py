@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from etaparity import cli, walks
+from etaparity import cli, f2series, walks
 from etaparity.genforms import pentagonal_numbers
 from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
                              partition_parity, walk_arrays)
 
 from oracles import (delta_ell_from_window, exact_partitions, mask_to_bits,
                      naive_eta_product_mask, naive_series_inverse_bits,
-                     walk_csv_reference)
+                     trial_division_primes, walk_csv_reference)
 
 
 def write_walk(kind, n, path):
@@ -43,6 +43,29 @@ class TestPartitionParity:
         inv = naive_series_inverse_bits(product, n)
         assert np.array_equal(partition_parity(n).bits(), inv)
 
+    def test_every_short_length_against_generic_inversion(self):
+        # odd and even final lengths, and the smallest n = 1, 2, 3
+        product = mask_to_bits(naive_eta_product_mask(300), 300)
+        inv = naive_series_inverse_bits(product, 300)
+        for n in range(1, 301):
+            assert np.array_equal(partition_parity(n).bits(), inv[:n]), n
+
+    def test_long_steps_stay_sparse(self, monkeypatch):
+        # the even and odd pentagonal halves have about sqrt(prec) terms, so
+        # once prec >= 2^14 both half-length products take the sparse path
+        dense_lengths = []
+        dense = f2series._mul_dense
+
+        def recording(f, g, n):
+            dense_lengths.append(n)
+            return dense(f, g, n)
+
+        monkeypatch.setattr(f2series, "_mul_dense", recording)
+        n = 2**20 + 1
+        table = partition_parity(n)
+        assert table.valid_len == n
+        assert max(dense_lengths) < 2**13
+
     def test_pentagonal_recurrence_holds(self):
         n = 4000
         par = partition_parity(n).bits()
@@ -70,6 +93,13 @@ class TestDeltaEll:
     @pytest.mark.parametrize("ell", [5, 7, 11, 13, 29, 43, 101, 9973])
     def test_window_route_agrees(self, ell):
         assert delta_ell(ell) == delta_ell_from_window(ell)
+
+    def test_formula_against_pow_for_every_prime_to_1e5(self):
+        ells = first_primes_ge5(9590)  # the primes 5 <= ell <= 99991
+        assert ells[-1] == 99_991 and ells[-1] == max(trial_division_primes(10**5))
+        want = [pow(24, -1, int(ell)) for ell in ells]
+        assert [delta_ell(int(ell)) for ell in ells] == want
+        assert walks._inverse_24(ells).tolist() == want
 
 
 class TestWalks:
@@ -116,9 +146,8 @@ class TestWalks:
             walk_arrays("bogus", 10)
 
 
-def cell_strings(cells) -> list[str]:
-    chars, keep = cells
-    return [bytes(row[mask]).decode() for row, mask in zip(chars, keep)]
+def cell_strings(block) -> list[str]:
+    return [bytes(col[col != 0]).decode() for col in block.T]
 
 
 class TestWalkWriter:
@@ -145,20 +174,20 @@ class TestWalkWriter:
         x = factor * np.sqrt(np.array([n], dtype=np.int64))
         k = np.rint(x * 1000)
         assert abs(abs(x[0] * 1000 - k[0]) - 0.5) < 1e-6
-        assert cell_strings(walks._band_cells(x)) == [format(x[0], ".3f")]
+        assert cell_strings(walks._band_block(x)) == [format(x[0], ".3f")]
 
     @given(st.lists(st.floats(0, 1e5, exclude_max=True), min_size=1, max_size=50))
     @example([0.0625, 1.0625, 2.5625])  # exact dyadic ties: round half to even
     @example([0.0005, 0.1235, 12.3455])  # x*1000 rounds onto a half; x does not
     def test_band_cells_match_format(self, values):
         x = np.array(values, dtype=np.float64)
-        assert cell_strings(walks._band_cells(x)) == [format(v, ".3f") for v in values]
+        assert cell_strings(walks._band_block(x)) == [format(v, ".3f") for v in values]
 
     @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=50))
     @example([0, -1, 1, -10, 10, -2**63, 2**63 - 1])
     def test_int_cells_match_str(self, values):
         x = np.array(values, dtype=np.int64)
-        assert cell_strings(walks._int_cells(x)) == [str(v) for v in values]
+        assert cell_strings(walks._int_block(x)) == [str(v) for v in values]
 
 
 class TestWalkMemoryCheck:
