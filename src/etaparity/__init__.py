@@ -7,9 +7,9 @@ from .genforms import (CongruenceTheta, EtaPowerParams, c_series,
                        f_series, generator_power, p_r_series, power_in_q,
                        triangular_theta)
 from .hecke import t_op, u_op, v_op
-from .level1 import (CodeMatrix, DyadicRational, GenPoly, code_matrix,
-                     dihedral_density, genpoly_series, hecke_on_genpoly,
-                     is_dihedral_window, to_genpoly)
+from .level1 import (DyadicRational, GenPoly, code_matrix, dihedral_density,
+                     genpoly_series, hecke_on_genpoly, is_dihedral_window,
+                     to_genpoly)
 from .density import (DensityEstimate, EmptyScanError, PrecisionError,
                       eta_density_direct, eta_density_exact,
                       eta_density_formula, odd_coeff_density, verify_bounds)

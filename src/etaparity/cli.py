@@ -13,7 +13,6 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import density, suites, walks
 from .density import PrecisionError
@@ -21,17 +20,6 @@ from .genforms import p_r_series
 from .level1 import genpoly_series
 from .level9 import ABELIAN_CLASSES, abelian_form
 
-
-@dataclass
-class RunConfig:
-    """Numeric defaults for the full-scale density run, in one place."""
-
-    prime_bound: int = 100_000
-    coeffs: int = 100
-    walk_n: int = 1_000_000
-
-
-DEFAULTS = RunConfig()
 
 ROUTE_AGREE_TOLERANCE = 0.02
 
@@ -201,15 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="print the support of a form")
     p_expand.add_argument("form", help="delta|C|F|P:r|alpha:i|pnt")
-    p_expand.add_argument("--coeffs", type=_at_least(1), default=DEFAULTS.coeffs)
+    p_expand.add_argument("--coeffs", type=_at_least(1), default=100)
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
     p_expand.set_defaults(func=cmd_expand)
 
     p_density = sub.add_parser("density", help="empirical/exact parity densities")
     p_density.add_argument("--r", required=True,
                            help="single value, range a..b, or comma list")
-    p_density.add_argument("--prime-bound", type=int,
-                           default=DEFAULTS.prime_bound)
+    p_density.add_argument("--prime-bound", type=int, default=100_000)
     p_density.add_argument("--format", choices=("csv", "json", "text"),
                            default="text")
     p_density.add_argument("--out", default=None)
@@ -226,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_walk = sub.add_parser("walk", help="emit a parity random walk as CSV")
     p_walk.add_argument("--kind", choices=walks.WALK_KINDS, default="all")
-    p_walk.add_argument("--n", type=_at_least(1), default=DEFAULTS.walk_n)
+    p_walk.add_argument("--n", type=_at_least(1), default=1_000_000)
     p_walk.add_argument("--out", required=True)
     p_walk.set_defaults(func=cmd_walk)
     return parser

@@ -1,13 +1,18 @@
 """Density experiments: prime scans, coefficient densities, and eta-power parity.
 
 Two empirical routes to the eta-power parity density, one exact route
-where a closed form is proven:
+where a closed form is proven.  For a prime ell let u be
+``least_shift(ell, m_r, b_r)``, the least u >= 1 with u*ell ≡ b_r (mod m_r):
 
-* direct: for each prime ell, the bit of P_r at exponent ell * mu(ell, r),
-  the leading formal coefficient of the ell-shifted series;
-* by parts: the density as a sum of coefficient densities of Hecke shifts
-  of the generator power (the shift indices depend only on m_r), each
-  estimated by reading bits at u * ell;
+* direct: for each prime ell, the bit of P_r at exponent ell * mu, the
+  leading formal coefficient of the ell-shifted series, where mu ≡ u
+  (mod m_r) is lifted into the window b_r/ell <= mu < b_r/ell + m_r;
+* formula: the sum over the unit shifts u' mod m_r of the coefficient
+  densities of the Hecke shifts T_u' P_r (U_2 for u' = 2), each read at
+  u' * ell.  P_r is supported on b_r mod s and m_r | s, so at each ell
+  every shift but u reads a zero bit, and the sum is one read at u * ell.
+  It differs from direct only where the window lifts mu above u, that is
+  where u * ell < b_r, and there it reads below P_r's first term;
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
   the two dihedral families, and the handful of abelian eta powers.
 
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .f2series import F2Series
-from .genforms import GENERATORS, EtaPowerParams, generator_power
+from .genforms import GENERATORS, EtaPowerParams, generator_power, least_shift
 from .level1 import DyadicRational
 from .primes import prime_array
 
@@ -50,16 +55,10 @@ class EmptyScanError(ValueError):
 
 def _mu_array(primes: np.ndarray, m: int, b: int) -> np.ndarray:
     """mu for each prime ell not dividing m: the solution of ell*mu ≡ b
-    (mod m) in the window b/ell <= mu < b/ell + m."""
-    if m == 1:
-        return -((-b) // primes)  # ceil(b/ell), the lone value in the window
-    inv = np.zeros(m, dtype=np.int64)
-    for c in range(1, m):
-        if math.gcd(c, m) == 1:
-            inv[c] = pow(c, -1, m)
-    mu0 = (b % m) * inv[primes % m] % m
-    k = -((mu0 * primes - b) // (primes * m))
-    return mu0 + m * k
+    (mod m) in the window b/ell <= mu < b/ell + m, the least shift u
+    lifted by the multiple of m that brings u*ell up to b."""
+    u = least_shift(primes, m, b)
+    return u - m * ((u * primes - b) // (m * primes))
 
 
 @dataclass(frozen=True)
@@ -88,29 +87,20 @@ class DensityEstimate:
         return max(TOLERANCE_FLOOR, SIGMA_FACTOR * self.sigma)
 
 
-def _scan_primes(prime_bound: int, progression=None) -> np.ndarray:
+def _scan_primes(prime_bound: int) -> np.ndarray:
     primes = prime_array(5, prime_bound)
-    if progression is not None:
-        modulus, residue = progression
-        primes = primes[primes % modulus == residue % modulus]
     if not len(primes):
         raise EmptyScanError(
-            f"a scan to prime bound {prime_bound} covers no primes ell >= 5"
-            + (f" in the class {residue} mod {modulus}" if progression else ""))
+            f"a scan to prime bound {prime_bound} covers no primes ell >= 5")
     return primes
 
 
-def odd_coeff_density(f: F2Series, prime_bound: int,
-                      progression: tuple[int, int] | None = None) -> DensityEstimate:
-    """Proportion of primes 5 <= ell <= prime_bound with a_ell(f) = 1.
-
-    With `progression` = (modulus, residue) the scan is restricted to that
-    class; the proportion is then relative to the class.
-    """
+def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
+    """Proportion of primes 5 <= ell <= prime_bound with a_ell(f) = 1."""
     if f.valid_len <= prime_bound:
         raise PrecisionError(
             f"series valid to {f.valid_len} cannot be scanned to {prime_bound}")
-    primes = _scan_primes(prime_bound, progression)
+    primes = _scan_primes(prime_bound)
     hits = int(f.coeffs_at(primes).sum())
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
@@ -136,29 +126,14 @@ def eta_density_direct(r: int, prime_bound: int) -> DensityEstimate:
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 
-# Shift indices per progression modulus m_r: as c runs over the units mod
-# m_r, the least positive u with u*c ≡ b_r spans exactly these values
-# (every unit mod 24 is its own inverse, so the set does not depend on b_r).
-_SHIFTS_BY_MODULUS: dict[int, tuple[int, ...]] = {
-    1: (1,),
-    2: (1,),
-    3: (1, 2),
-    4: (1, 3),
-    6: (1, 5),
-    8: (1, 3, 5, 7),
-    12: (1, 5, 7, 11),
-    24: (1, 5, 7, 11, 13, 17, 19, 23),
-}
-
-
 def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density summed over shifted scans: the shift by u reads
-    a_{u*ell}(P_r) for every prime ell, one u per unit class mod m_r (T_u for
-    odd u, U_2 for u = 2)."""
+    """The parity density summed over the Hecke shifts of P_r: for each
+    prime ell, a_{u*ell}(P_r) for the one shift u that meets the support
+    (see the module docstring)."""
+    params = EtaPowerParams.for_power(r)
     primes = _scan_primes(prime_bound)
-    hits = 0
-    for u in _SHIFTS_BY_MODULUS[EtaPowerParams.for_power(r).m_r]:
-        hits += int(_p_r_bits(r, u * primes, prime_bound).sum())
+    u = least_shift(primes, params.m_r, params.b_r)
+    hits = int(_p_r_bits(r, u * primes, prime_bound).sum())
     return DensityEstimate.from_counts(hits, len(primes), prime_bound)
 
 

@@ -27,7 +27,9 @@ The normalized eta power for exponent r reduces mod 2 to delta^(b_r) when
 
     P_r(q) = q^(b_r) * h^(b_r)(q^s)
 
-is supported on b_r mod s, a subset of the progression b_r mod m_r.
+is supported on b_r mod s, a subset of the progression b_r mod m_r.  For
+a prime ell >= 5 the one shift of P_r that meets that progression at ell
+is u*ell with u = ``least_shift(ell, m_r, b_r)``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ class EtaPowerParams:
     def __post_init__(self):
         if math.gcd(self.b_r, self.m_r) != 1 or 24 % self.m_r or self.m_r * self.r != 24 * self.b_r:
             raise ValueError("inconsistent eta-power parameters")
+
+
+def least_shift(ell, m: int, b: int):
+    """The least u >= 1 with u*ell ≡ b (mod m), for m | 24 and ell prime
+    to m; ell is an int or an int64 array.
+
+    Every unit mod 24 is its own inverse (ell^2 ≡ 1), so u ≡ b*ell.
+    """
+    return (b * ell - 1) % m + 1
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ def t_op(f: F2Series, ell: int) -> F2Series:
     """
     if ell == 2:
         raise ValueError("T_2 is not available; use u_op for the U_2 shift")
-    # the length check goes first: is_prime may grow the shared sieve to sqrt(ell)
     if f.valid_len < ell:
         raise ValueError("series too short for this Hecke index")
     if not is_prime(ell):

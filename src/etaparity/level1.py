@@ -169,22 +169,9 @@ def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
     return to_genpoly(image, p.level, bound)
 
 
-@dataclass(frozen=True)
-class CodeMatrix:
-    """Window of dual coordinates c(a,b) = a_1(T_3^a T_5^b f) of a level-1 form."""
-
-    entries: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, CodeMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    __hash__ = None
-
-
-def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> CodeMatrix:
-    """Coordinates of f in the basis adapted to (T_3, T_5), on an a_max x b_max window.
+def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> np.ndarray:
+    """Coordinates of f in the basis adapted to (T_3, T_5), on an a_max x b_max
+    window: the uint8 array of dual coordinates c(a,b) = a_1(T_3^a T_5^b f).
 
     Requires all exponents odd (the form must avoid the square subalgebra;
     only there is the duality pairing with the shallow Hecke algebra
@@ -206,12 +193,13 @@ def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> CodeMatrix:
                 col = hecke_on_genpoly(col, 5)
         if a + 1 < a_max:
             row = hecke_on_genpoly(row, 3)
-    return CodeMatrix(entries)
+    return entries
 
 
-def is_dihedral_window(c: CodeMatrix) -> bool:
-    """True when the window is supported on the two axes (advisory, not a proof)."""
-    return not c.entries[1:, 1:].any()
+def is_dihedral_window(c: np.ndarray) -> bool:
+    """True when the code window is supported on the two axes (advisory, not
+    a proof)."""
+    return not c[1:, 1:].any()
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Density scans, Hecke indices and the walk's prime subsequence all read the
 same process-wide sieve.  It is regrown to at least double its bound when
-asked beyond it.  ``is_prime(n)`` past the sieve divides n by the sieve's
-primes up to sqrt(n) instead, so one large n costs a sieve to sqrt(n).
+asked beyond it.  ``is_prime(n)`` past the sieve runs a deterministic
+Miller-Rabin test instead, so one large n costs twelve modular powers and
+never grows the sieve.
 """
 
 from __future__ import annotations
@@ -57,12 +58,34 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
     return shared_sieve(hi).primes(lo, hi)
 
 
+# Miller-Rabin with these bases decides every n < 3.3e24 (Sorenson and
+# Webster, 2015), so every n below the 2^64 that is_prime accepts
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Whether the integer n (below 2^63) is prime: read from the shared
-    sieve when it reaches n, else divided by its primes up to sqrt(n)."""
+    """Whether the integer n (below 2^64) is prime: read from the shared
+    sieve when it reaches n, else by deterministic Miller-Rabin."""
+    if n >= 1 << 64:
+        raise ValueError(f"is_prime is exact below 2^64, got {n}")
     if n < 2:
         return False
     if _sieve is not None and n <= _sieve.bound:
         return _sieve.is_prime(n)
-    root = math.isqrt(n)
-    return not np.any(n % shared_sieve(root).primes(2, root) == 0)
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

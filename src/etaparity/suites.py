@@ -128,10 +128,10 @@ def suite_combinatorial(a_max: int = 256) -> SuiteResult:
     return res
 
 
-def _indicator_matrix_ok(cm, a: int, b: int) -> bool:
-    want = np.zeros_like(cm.entries)
+def _indicator_matrix_ok(cm: np.ndarray, a: int, b: int) -> bool:
+    want = np.zeros_like(cm)
     want[a, b] = 1
-    return np.array_equal(cm.entries, want)
+    return np.array_equal(cm, want)
 
 
 def suite_dihedral_code(prime_bound: int = PRIME_BOUND) -> SuiteResult:

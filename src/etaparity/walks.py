@@ -24,7 +24,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .f2series import F2Series, mul
-from .genforms import eta_product_pnt
+from .genforms import eta_product_pnt, least_shift
 from .primes import is_prime, prime_array
 
 
@@ -50,9 +50,9 @@ def partition_parity(n: int) -> F2Series:
 
 def _inverse_24(ell):
     """The least positive 24^-1 mod ell for ell prime to 6, int or int64
-    array (exact below about 4e17).  Every unit mod 24 is its own inverse,
-    so t = -ell mod 24 makes t*ell + 1 a multiple of 24."""
-    return (-ell % 24 * ell + 1) // 24
+    array (exact below about 4e17): u*ell + 1 is a multiple of 24 for
+    u = least_shift(ell, 24, -1), and u < 24."""
+    return (ell * least_shift(ell, 24, -1) + 1) // 24
 
 
 def delta_ell(ell: int) -> int:

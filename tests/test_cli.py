@@ -1,6 +1,7 @@
 """Command-line surface: outputs, formats, and the exit-code contract."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,6 +26,16 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def test_density_csv_matches_its_recorded_hash():
+    # SHA-256 of this CSV as written when the formula route still summed one
+    # scan per unit shift: the single read per prime gives the same bytes
+    code, out = run_cli("density", "--r", "1..132", "--prime-bound", "2000",
+                        "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6aad66622c3652602d44a18835e38e5b46ddd8e6b411459b375285447ce1caec"
 
 
 class TestExpand:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from etaparity import primes as primes_mod
-from etaparity.density import (_SHIFTS_BY_MODULUS, EmptyScanError, PrecisionError,
+from etaparity.density import (EmptyScanError, PrecisionError,
                                _mu_array, eta_density_direct, eta_density_exact,
                                eta_density_formula,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.f2series import power
-from etaparity.genforms import EtaPowerParams, c_series, delta_series, p_r_series
+from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
+                                least_shift, p_r_series)
 from etaparity.level1 import DyadicRational
 from etaparity.primes import PrimeSieve, is_prime, prime_array
 
@@ -44,7 +45,7 @@ class TestPrimeSieve:
     def test_is_prime_past_the_sieve_divides_by_its_root_primes(self, monkeypatch):
         monkeypatch.setattr(primes_mod, "_sieve", PrimeSieve(100))
         assert is_prime(10_007) and not is_prime(10_001)
-        assert primes_mod._sieve.bound == 100  # isqrt(10_007) = 100
+        assert primes_mod._sieve.bound == 100
 
     def test_large_is_prime_sieves_only_to_the_root(self, monkeypatch):
         sieve = primes_mod.shared_sieve
@@ -59,6 +60,21 @@ class TestPrimeSieve:
         assert not is_prime(10**8)
         assert is_prime(10**9 + 7)
         assert not is_prime(99_991 * 99_989)  # both factors near the root
+        assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..31 (ψ_11)
+        assert not is_prime(3_215_031_751)
+        assert not is_prime(3_825_123_056_546_413_051)
+        assert primes_mod._sieve is None
+
+    def test_miller_rabin_agrees_with_the_sieve_below_1e5(self, monkeypatch):
+        monkeypatch.setattr(primes_mod, "_sieve", None)
+        sieve = PrimeSieve(10**5)
+        assert all(is_prime(n) == sieve.is_prime(n) for n in range(10**5 + 1))
+        assert primes_mod._sieve is None
+
+    def test_is_prime_is_bounded_by_2_64(self):
+        with pytest.raises(ValueError):
+            is_prime(2**64)
 
 
 class TestMuDelta:
@@ -108,9 +124,9 @@ class TestCoefficientDensity:
     def test_progression_filter_sharpness(self):
         # a_ell(delta^3) = 1 exactly for ell = 3 mod 8
         f = power(delta_series(BOUND + 1), 3, BOUND + 1)
-        on = odd_coeff_density(f, BOUND, progression=(8, 3))
-        off = odd_coeff_density(f, BOUND, progression=(8, 1))
-        assert on.value == 1.0 and off.value == 0.0
+        primes = prime_array(5, BOUND)
+        bits = f.coeffs_at(primes)
+        assert bits[primes % 8 == 3].all() and not bits[primes % 8 != 3].any()
 
     def test_precision_guard(self):
         with pytest.raises(PrecisionError):
@@ -130,15 +146,18 @@ class TestCoefficientDensity:
         assert odd_coeff_density_shifted(c7, 7, BOUND).value < 0.01  # T_7 C^7 = C
 
 
-@pytest.mark.parametrize("m", sorted(_SHIFTS_BY_MODULUS))
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 24])
 def test_shift_table_spans_least_shifts(m):
-    # for every b prime to m, the least u >= 1 with u*c ≡ b (mod m), as c
-    # runs over the units mod m, takes exactly the tabulated values
-    units = [c for c in range(m) if math.gcd(c, m) == 1]
-    for b in units:
-        least = {next(u for u in range(1, m + 1) if (u * c - b) % m == 0)
-                 for c in units}
-        assert least == set(_SHIFTS_BY_MODULUS[m]), b
+    # least_shift is the least u >= 1 with u*ell ≡ b (mod m), for every unit
+    # b mod m (and b = -1 at m = 24, the walk's 24^-1), as scalars and as
+    # one array over the primes 5 <= ell <= 2000, which meet every unit class
+    ells = prime_array(5, 2000)
+    units = [b for b in range(1, m + 1) if math.gcd(b, m) == 1]
+    for b in units + ([-1] if m == 24 else []):
+        want = [next(u for u in range(1, m + 1) if (u * ell - b) % m == 0)
+                for ell in ells.tolist()]
+        assert [least_shift(ell, m, b) for ell in ells.tolist()] == want, b
+        assert least_shift(ells, m, b).tolist() == want, b
 
 
 class TestEtaDensityRoutes:
@@ -172,6 +191,24 @@ class TestEtaDensityRoutes:
                    eta_density_formula(r, bound).hits)
             assert got == want, r
 
+    def test_routes_read_the_same_bit_wherever_u_ell_reaches_b_r(self):
+        # direct reads ell*mu and formula u*ell with mu ≡ u (mod m_r); the
+        # window lifts mu above u only where u*ell < b_r, and there the
+        # formula read falls below P_r's first term q^(b_r)
+        bound = 10_000
+        primes = prime_array(5, bound)
+        for r in range(1, 133):
+            p = EtaPowerParams.for_power(r)
+            series = p_r_series(r, p.b_r + p.m_r * bound + 1)
+            u = least_shift(primes, p.m_r, p.b_r)
+            direct = series.coeffs_at(primes * _mu_array(primes, p.m_r, p.b_r))
+            formula = series.coeffs_at(u * primes)
+            reach = u * primes >= p.b_r
+            assert np.array_equal(direct[reach], formula[reach]), r
+            assert not formula[~reach].any(), r
+            assert eta_density_direct(r, bound).hits == int(direct.sum()), r
+            assert eta_density_formula(r, bound).hits == int(formula.sum()), r
+
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):
             with pytest.raises(EmptyScanError):
@@ -179,7 +216,7 @@ class TestEtaDensityRoutes:
             with pytest.raises(EmptyScanError):
                 eta_density_formula(18, bound)
         with pytest.raises(EmptyScanError):
-            odd_coeff_density(delta_series(100), 50, progression=(8, 2))
+            odd_coeff_density(delta_series(100), 4)
 
     def test_per_class_hits_match_shifted_reads(self):
         # hits of the direct scan in the class c (mod m_r) equal hits of the

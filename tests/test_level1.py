@@ -5,7 +5,7 @@ import pytest
 
 from etaparity.f2series import F2Series
 from etaparity.genforms import c_series, delta_series
-from etaparity.level1 import (CodeMatrix, DyadicRational, GenPoly, clmul,
+from etaparity.level1 import (DyadicRational, GenPoly, clmul,
                               code_matrix, dihedral_density, genpoly_pow,
                               genpoly_series, hecke_on_genpoly,
                               is_dihedral_window, to_genpoly)
@@ -99,19 +99,19 @@ class TestCodeMatrix:
         cm = code_matrix(GenPoly(1, frozenset({1})), 3, 3)
         want = np.zeros((3, 3), dtype=np.uint8)
         want[0, 0] = 1
-        assert np.array_equal(cm.entries, want)
+        assert np.array_equal(cm, want)
 
     def test_delta_eleven(self):
         cm = code_matrix(GenPoly(1, frozenset({11})), 5, 2)
-        assert cm.entries[3, 0] == 1 and cm.entries.sum() == 1
+        assert cm[3, 0] == 1 and cm.sum() == 1
 
     def test_delta_ninth(self):
         cm = code_matrix(GenPoly(1, frozenset({9})), 4, 2)
-        assert cm.entries[2, 0] == 1 and cm.entries.sum() == 1
+        assert cm[2, 0] == 1 and cm.sum() == 1
 
     def test_delta_seventh_abelian_pattern(self):
         cm = code_matrix(GenPoly(1, frozenset({7})), 4, 4)
-        assert cm.entries[1, 1] == 1 and cm.entries.sum() == 1
+        assert cm[1, 1] == 1 and cm.sum() == 1
         assert not is_dihedral_window(cm)
 
     def test_rejects_even_exponents(self):
@@ -123,23 +123,22 @@ class TestCodeMatrix:
         f = GenPoly(1, frozenset({7, 11}))
         shifted = code_matrix(hecke_on_genpoly(f, 3), 4, 4)
         whole = code_matrix(f, 5, 4)
-        assert np.array_equal(shifted.entries, whole.entries[1:, :])
+        assert np.array_equal(shifted, whole[1:, :])
 
     def test_column_shift_under_t5(self):
         # Y m(a,b) = m(a,b-1): applying T_5 shifts the code window one column
         f = GenPoly(1, frozenset({7, 11}))
         shifted = code_matrix(hecke_on_genpoly(f, 5), 4, 4)
         whole = code_matrix(f, 4, 5)
-        assert np.array_equal(shifted.entries, whole.entries[:, 1:])
+        assert np.array_equal(shifted, whole[:, 1:])
 
     def test_dihedral_window_flags(self):
-        zero = CodeMatrix(np.zeros((3, 3), dtype=np.uint8))
-        assert is_dihedral_window(zero)
+        assert is_dihedral_window(np.zeros((3, 3), dtype=np.uint8))
         axes = np.zeros((3, 3), dtype=np.uint8)
         axes[2, 0] = axes[0, 1] = 1
-        assert is_dihedral_window(CodeMatrix(axes))
+        assert is_dihedral_window(axes)
         axes[1, 2] = 1
-        assert not is_dihedral_window(CodeMatrix(axes))
+        assert not is_dihedral_window(axes)
 
 
 class TestDyadicRational:

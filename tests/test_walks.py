@@ -1,6 +1,7 @@
 """Partition parity, the 24-inverse table, and walk CSV output."""
 
 import csv
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ class TestDeltaEll:
         want = [pow(24, -1, int(ell)) for ell in ells]
         assert [delta_ell(int(ell)) for ell in ells] == want
         assert walks._inverse_24(ells).tolist() == want
+
+    def test_large_prime_in_milliseconds(self):
+        ell = 2**61 - 1
+        start = time.perf_counter()
+        got = delta_ell(ell)
+        assert time.perf_counter() - start < 0.05
+        assert got == pow(24, -1, ell)
 
 
 class TestWalks:
