@@ -67,16 +67,15 @@ class DensityEstimate:
 
     hits: int
     samples: int
-    prime_bound: int
     value: float
     nearest_dyadic: DyadicRational
     residual: float
 
     @classmethod
-    def from_counts(cls, hits: int, samples: int, prime_bound: int) -> "DensityEstimate":
+    def from_counts(cls, hits: int, samples: int) -> "DensityEstimate":
         value = hits / samples
         near = DyadicRational.nearest(value, MAX_LOG_DENOMINATOR)
-        return cls(hits, samples, prime_bound, value, near, abs(value - near.value))
+        return cls(hits, samples, value, near, abs(value - near.value))
 
     @property
     def sigma(self) -> float:
@@ -102,7 +101,7 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
             f"series valid to {f.valid_len} cannot be scanned to {prime_bound}")
     primes = _scan_primes(prime_bound)
     hits = int(f.coeffs_at(primes).sum())
-    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
+    return DensityEstimate.from_counts(hits, len(primes))
 
 
 def _p_r_bits(r: int, exps: np.ndarray, prime_bound: int) -> np.ndarray:
@@ -123,7 +122,7 @@ def eta_density_direct(r: int, prime_bound: int) -> DensityEstimate:
     primes = _scan_primes(prime_bound)
     nu = primes * _mu_array(primes, params.m_r, params.b_r)
     hits = int(_p_r_bits(r, nu, prime_bound).sum())
-    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
+    return DensityEstimate.from_counts(hits, len(primes))
 
 
 def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
@@ -134,7 +133,7 @@ def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
     primes = _scan_primes(prime_bound)
     u = least_shift(primes, params.m_r, params.b_r)
     hits = int(_p_r_bits(r, u * primes, prime_bound).sum())
-    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
+    return DensityEstimate.from_counts(hits, len(primes))
 
 
 def zn(n: int) -> int:
@@ -215,7 +214,6 @@ class BoundCheck:
     value: float
     sigma: float
     limit: float
-    exception: bool
     ok: bool
 
 
@@ -231,17 +229,12 @@ def verify_bounds(r_max: int, prime_bound: int) -> list[BoundCheck]:
     for r in range(1, r_max + 1):
         est = eta_density_direct(r, prime_bound)
         margin = 3.0 * est.sigma
-        if r % 4 == 0:
-            limit, exception = 0.25, r in BOUND_EXCEPTIONS
-        elif r % 2 == 0:
-            limit, exception = 0.5, False
-        else:
-            limit, exception = 1.0, False
-        if exception:
+        limit = 0.25 if r % 4 == 0 else 0.5 if r % 2 == 0 else 1.0
+        if r in BOUND_EXCEPTIONS:
             ok = est.value <= limit + margin
         else:
             ok = est.value + margin < limit
-        rows.append(BoundCheck(r, est.value, est.sigma, limit, exception, ok))
+        rows.append(BoundCheck(r, est.value, est.sigma, limit, ok))
     return rows
 
 

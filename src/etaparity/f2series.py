@@ -8,9 +8,8 @@ silent extension would corrupt every density downstream).  Bits at or
 beyond ``valid_len`` are kept zero in the stored representation.
 
 Instances are immutable after construction; all operations are pure
-functions returning fresh series.  Powers are Frobenius products: squaring
-is exponent dilation (``substitute_qk(f, 2)``), so ``power`` multiplies
-dilated prefixes of f over the bits of the exponent.
+functions returning fresh series.  Squaring is exponent dilation
+(``substitute_qk(f, 2)``); generator powers are built in ``genforms``.
 """
 
 from __future__ import annotations
@@ -192,84 +191,27 @@ def add(f: F2Series, g: F2Series) -> F2Series:
     return F2Series(w, n)
 
 
-# An operand is treated as sparse when its support is at most 1/64 of the
-# truncation length; theta-type generators have O(sqrt(N)) support and
-# always take this path.
-_SPARSE_DIVISOR = 64
-
-
 def mul(f: F2Series, g: F2Series, n_out: int | None = None) -> F2Series:
     """Carryless (XOR) convolution truncated to min valid length.
 
-    Dispatches sparse x dense (XOR-shift the denser operand across the
-    sparser support) against dense x dense (slot-spread integer product)
-    on the support size within the first n_out coefficients.
+    XOR-shifts the words of one operand across the support of the other,
+    whichever has fewer terms among the first n_out coefficients.  Every
+    product in the package has a theta-type factor (support O(sqrt(N))),
+    so the shift count stays near sqrt(n).
     """
     n = min(f.valid_len, g.valid_len)
     if n_out is not None:
         n = min(n, n_out)
     if n <= 0:
         return F2Series.zero(max(n, 0))
-    sf, sg = f.support_size(n), g.support_size(n)
-    if min(sf, sg) <= max(1, n // _SPARSE_DIVISOR):
-        sparse, dense = (f, g) if sf <= sg else (g, f)
-        return _mul_sparse(sparse, dense, n)
-    return _mul_dense(f, g, n)
-
-
-def _mul_sparse(sparse: F2Series, dense: F2Series, n: int) -> F2Series:
+    sparse, dense = (f, g) if f.support_size(n) <= g.support_size(n) else (g, f)
     acc = np.zeros(_nwords(n), dtype=np.uint64)
-    nw = _nwords(min(dense.valid_len, n))
-    dwords = dense._words[:nw].copy()
-    _mask_tail(dwords, min(dense.valid_len, n))
+    dwords = dense._words[:_nwords(n)]
     for e in sparse.support(n):
         _xor_shifted(acc, dwords, int(e))
+    # bits of dense at or past n land at or past n, and only here are cut
     _mask_tail(acc, n)
     return F2Series(acc, n)
-
-
-def _spread_int(bits: np.ndarray, slot: int) -> int:
-    """Pack bits into an integer with `slot` bits per coefficient."""
-    arr = np.zeros(len(bits) * slot, dtype=np.uint8)
-    arr[::slot] = bits
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
-def _mul_dense(f: F2Series, g: F2Series, n: int) -> F2Series:
-    # Exact integer convolution: with `slot` bits per coefficient the
-    # per-exponent pair counts (at most min support) cannot carry across
-    # slots, so the product's slot parities are the GF(2) convolution.
-    bits_f = f.bits(min(n, f.valid_len))
-    bits_g = g.bits(min(n, g.valid_len))
-    slot = max(min(f.support_size(n), g.support_size(n)).bit_length() + 1, 2)
-    prod = _spread_int(bits_f, slot) * _spread_int(bits_g, slot)
-    raw = prod.to_bytes(2 * n * slot // 8 + 16, "little")
-    pbits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                          count=n * slot, bitorder="little")
-    return F2Series.from_bits(pbits[::slot], n)
-
-
-def power(f: F2Series, e: int, n: int) -> F2Series:
-    """First n coefficients of f**e, as the Frobenius product over the bits of e.
-
-    In characteristic 2, f^(2^i)(q) = f(q^(2^i)), so f^e is the product of
-    the dilations f(q^(2^i)) for the set bits i of e; each needs only the
-    first ceil(n/2^i) coefficients of f.  The factors are multiplied densest
-    first, so every multiply XOR-shifts the accumulated product across a
-    sparser factor.  Valid to 2^v * min(n, f.valid_len), capped at n, where
-    2^v is the lowest set bit of e.
-    """
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    acc = None
-    for i in range(e.bit_length()):
-        if e >> i & 1:
-            k = 1 << i
-            factor = substitute_qk(f.truncate(min(f.valid_len, -(-n // k))), k, n)
-            acc = factor if acc is None else mul(acc, factor, n)
-    return acc
 
 
 def substitute_qk(f: F2Series, k: int, n_out: int | None = None) -> F2Series:

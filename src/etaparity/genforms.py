@@ -17,10 +17,10 @@ coefficients of h^e.  ``generator_power`` caches h^e by (generator, e) at
 the largest precision asked for, and builds a missing power from that
 cache: an odd h^e with top bit 2^t is the cached h^(e - 2^t) times the
 dilation h(y^(2^t)), one sparse multiply, and an even h^e is its odd part
-dilated, with no multiply.  This is the Frobenius product of
-``f2series.power``, densest factor first, with every partial product kept.
-``power_in_q`` is the view in q.  Every generator power in the package
-comes from that one cache.
+dilated, with no multiply.  This is the Frobenius product over the bits of
+e (h^(2^i)(y) = h(y^(2^i)) in characteristic 2), densest factor first,
+with every partial product kept.  ``power_in_q`` is the view in q.  Every
+generator power in the package comes from that one cache.
 
 The normalized eta power for exponent r reduces mod 2 to delta^(b_r) when
 3 | r and to C^(b_r) otherwise (``EtaPowerParams.generator``), so

@@ -1,9 +1,9 @@
-"""Hecke operators U_ell, V_ell, T_ell on truncated GF(2) q-expansions.
+"""Hecke operators U_ell and T_ell on truncated GF(2) q-expansions.
 
 Mod 2 with ell odd, ell^(k-1) = 1, so T_ell = U_ell + V_ell independent of
-the weight; no weight parameter appears anywhere.  Precision is the
-caller's burden: U and T divide the valid length by ell and never fetch
-more coefficients.
+the weight, where V_ell is the dilation ``substitute_qk(f, ell)``; no
+weight parameter appears anywhere.  Precision is the caller's burden: U
+and T divide the valid length by ell and never fetch more coefficients.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ def u_op(f: F2Series, ell: int) -> F2Series:
     return F2Series.from_bits(f.bits()[::ell][:n], n)
 
 
-def v_op(f: F2Series, ell: int, n_out: int | None = None) -> F2Series:
-    """Exponent dilation f(q) -> f(q^ell); valid_len grows by ell, capped at n_out."""
-    return substitute_qk(f, ell, n_out)
-
-
 def t_op(f: F2Series, ell: int) -> F2Series:
     """T_ell = U_ell + V_ell for odd prime ell; valid_len = floor(valid/ell).
 
@@ -38,4 +33,4 @@ def t_op(f: F2Series, ell: int) -> F2Series:
     if not is_prime(ell):
         raise ValueError(f"T index must be an odd prime, got {ell}")
     n = f.valid_len // ell
-    return add(u_op(f, ell), v_op(f, ell, n))
+    return add(u_op(f, ell), substitute_qk(f, ell, n))

@@ -14,9 +14,10 @@ import numpy as np
 
 from . import density, level9
 from .density import wn, zn
-from .f2series import F2Series, add, mul, power, substitute_qk
+from .f2series import F2Series, add, mul, substitute_qk
 from .genforms import (c_series, delta_series, eta_product_pnt, f_series,
-                       prime_to_3_theta, triangular_theta)
+                       generator_power, power_in_q, prime_to_3_theta,
+                       triangular_theta)
 from .hecke import t_op
 from .level1 import (GenPoly, code_matrix, dihedral_density, genpoly_pow,
                      genpoly_series, hecke_on_genpoly, is_dihedral_window)
@@ -69,13 +70,14 @@ def suite_identities(n: int = IDENTITY_PRECISION) -> SuiteResult:
     res.add("C = delta(q) + delta(q^9)",
             c == add(delta, substitute_qk(delta_series(n // 9 + 1), 9, n)))
     res.add("C^3 = delta(q^3)",
-            power(c, 3, n) == substitute_qk(delta_series(n // 3 + 1), 3, n))
-    res.add("C = F + F^4", c == add(f, power(f, 4, n)))
+            power_in_q("C", 3, n) == substitute_qk(delta_series(n // 3 + 1), 3, n))
+    f4 = power_in_q("F", 4, n)
+    res.add("C = F + F^4", c == add(f, f4))
     res.add("delta = F + F^4 + F^9 + F^12",
-            delta == add(add(f, power(f, 4, n)),
-                         add(power(f, 9, n), power(f, 12, n))))
+            delta == add(add(f, f4),
+                         add(power_in_q("F", 9, n), power_in_q("F", 12, n))))
     q = F2Series.from_support([1], n)
-    pnt24 = power(eta_product_pnt(n), 24, n)
+    pnt24 = generator_power("C", 24, n)  # h = pnt for C
     res.add("q * pentagonal_product^24 = delta", mul(q, pnt24, n) == delta)
     # the compressed generators that eta powers are built from
     res.add("delta = q * T(q^8)",
@@ -217,8 +219,7 @@ def suite_thmB(prime_bound: int = PRIME_BOUND) -> SuiteResult:
                 high.value <= low.value,
                 detail=f"{low.value:.5f} -> {high.value:.5f}")
     for r in range(1, 65):
-        covered = 32 % r == 0 or r % 32 == 0 or 48 % r == 0 or r % 48 == 0
-        if covered:
+        if r in THM_B_ZERO_SET:
             continue
         est = density.eta_density_direct(r, prime_bound)
         res.add(f"D({r}) > 0.05 (not a zero class)", est.value > 0.05,

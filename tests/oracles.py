@@ -194,7 +194,7 @@ def odd_coeff_density_shifted(f, p: int, prime_bound: int):
             f"series valid to {f.valid_len} cannot be scanned to {p}*{prime_bound}")
     primes = prime_array(5, prime_bound)
     hits = int(f.coeffs_at(p * primes).sum())
-    return DensityEstimate.from_counts(hits, len(primes), prime_bound)
+    return DensityEstimate.from_counts(hits, len(primes))
 
 
 def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[int, int]:

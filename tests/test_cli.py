@@ -38,6 +38,16 @@ def test_density_csv_matches_its_recorded_hash():
         "6aad66622c3652602d44a18835e38e5b46ddd8e6b411459b375285447ce1caec"
 
 
+def test_verify_json_matches_its_recorded_hash():
+    # SHA-256 of this JSON as written when the identities suite still took
+    # its powers from a separate Frobenius product: the cache gives the same
+    # bytes
+    code, out = run_cli("verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a81ec7879425860623d10506a42471501e32afc2389e1748cdc3bdeb115a14be"
+
+
 class TestExpand:
     def test_delta(self):
         code, out = run_cli("expand", "delta", "--coeffs", "30")

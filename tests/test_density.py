@@ -11,14 +11,13 @@ from etaparity.density import (EmptyScanError, PrecisionError,
                                eta_density_formula,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
-from etaparity.f2series import power
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
                                 least_shift, p_r_series)
 from etaparity.level1 import DyadicRational
 from etaparity.primes import PrimeSieve, is_prime, prime_array
 
 from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
-                     trial_division_primes)
+                     square_and_multiply, trial_division_primes)
 
 BOUND = 20_000
 
@@ -107,7 +106,7 @@ class TestMuDelta:
 
 class TestCoefficientDensity:
     def test_delta_cubed_quarter(self):
-        f = power(delta_series(BOUND + 1), 3, BOUND + 1)
+        f = square_and_multiply(delta_series(BOUND + 1), 3, BOUND + 1)
         est = odd_coeff_density(f, BOUND)
         assert abs(est.value - 0.25) < 0.02
         assert est.nearest_dyadic == DyadicRational(1, 2)
@@ -117,13 +116,13 @@ class TestCoefficientDensity:
         assert est.value < 0.01
 
     def test_c_fifth_eighth(self):
-        f = power(c_series(BOUND + 1), 5, BOUND + 1)
+        f = square_and_multiply(c_series(BOUND + 1), 5, BOUND + 1)
         est = odd_coeff_density(f, BOUND)
         assert abs(est.value - 0.125) < 0.02
 
     def test_progression_filter_sharpness(self):
         # a_ell(delta^3) = 1 exactly for ell = 3 mod 8
-        f = power(delta_series(BOUND + 1), 3, BOUND + 1)
+        f = square_and_multiply(delta_series(BOUND + 1), 3, BOUND + 1)
         primes = prime_array(5, BOUND)
         bits = f.coeffs_at(primes)
         assert bits[primes % 8 == 3].all() and not bits[primes % 8 != 3].any()
@@ -136,13 +135,13 @@ class TestCoefficientDensity:
 
     def test_shifted_examples(self):
         n = 3 * BOUND + 1
-        d3 = power(delta_series(n), 3, n)
+        d3 = square_and_multiply(delta_series(n), 3, n)
         assert odd_coeff_density_shifted(d3, 3, BOUND).value < 0.01
-        d7 = power(delta_series(n), 7, n)
+        d7 = square_and_multiply(delta_series(n), 7, n)
         est = odd_coeff_density_shifted(d7, 3, BOUND)
         assert abs(est.value - 0.25) < 0.02  # T_3 delta^7 = delta^5
         n7 = 7 * BOUND + 1
-        c7 = power(c_series(n7), 7, n7)
+        c7 = square_and_multiply(c_series(n7), 7, n7)
         assert odd_coeff_density_shifted(c7, 7, BOUND).value < 0.01  # T_7 C^7 = C
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaparity import f2series
-from etaparity.f2series import F2Series, add, mul, power, substitute_qk
+from etaparity.f2series import F2Series, add, mul, substitute_qk
 from etaparity.genforms import c_series, delta_series, eta_product_pnt
 
-from oracles import conv_mod2, odd_square_triple_parity
+from oracles import conv_mod2, odd_square_triple_parity, square_and_multiply
 
 
 def series_strategy(max_len=160, max_support=14):
@@ -98,23 +98,47 @@ class TestMul:
         fb = (rng.random(n) < 0.5).astype(np.uint8)
         gb = (rng.random(n) < 0.5).astype(np.uint8)
         f, g = F2Series.from_bits(fb), F2Series.from_bits(gb)
-        assert f.support_size() > n // 64  # exercises the dense dispatch
+        # neither operand is sparse: the shifts run across about n/2 terms
         assert np.array_equal(mul(f, g).bits(), conv_mod2(fb, gb, n))
 
-    def test_dispatch_reads_only_the_first_n_coefficients(self, rng, monkeypatch):
-        # the pentagonal series has 1633 terms below 10^6, more than
-        # 2^16 / 64 = 1024, but only 418 below 2^16: sparse
-        def no_dense(f, g, n):
-            raise AssertionError("dense product for a sparse prefix")
-
+    @pytest.mark.parametrize("dense_len", [1 << 16, 1 << 11])
+    def test_shifts_across_the_sparser_prefix(self, rng, monkeypatch, dense_len):
+        # the pentagonal series has 1633 terms below 10^6 but only 418 below
+        # 2^16; g is random on its first dense_len coefficients and zero
+        # after, so at 2^11 it has fewer terms than pnt in all but more
+        # than pnt below 2^16
         n = 1 << 16
         f = eta_product_pnt(10**6)
-        assert f.support_size() > n // 64 >= f.support_size(n)
-        gb = (rng.random(n) < 0.5).astype(np.uint8)
+        gb = np.zeros(n, dtype=np.uint8)
+        gb[:dense_len] = rng.random(dense_len) < 0.5
         g = F2Series.from_bits(gb)
-        want = f2series._mul_dense(f, g, n)
-        monkeypatch.setattr(f2series, "_mul_dense", no_dense)
-        assert mul(f, g, n) == want
+        assert f.support_size(n) == 418 < g.support_size(n)
+        assert (g.support_size() < f.support_size()) == (dense_len < n)
+        shifts = []
+        xor_shifted = f2series._xor_shifted
+
+        def counting(dst, src, shift):
+            shifts.append(shift)
+            xor_shifted(dst, src, shift)
+
+        monkeypatch.setattr(f2series, "_xor_shifted", counting)
+        prod = mul(f, g, n)
+        assert shifts == [int(e) for e in f.support(n)]
+        # conv_mod2 at 2^16 takes seconds; XOR the unpacked bits instead
+        want = np.zeros(n, dtype=np.uint8)
+        for e in f.support(n):
+            want[e:] ^= gb[:n - e]
+        assert np.array_equal(prod.bits(), want)
+        head = 1 << 11
+        assert np.array_equal(prod.bits(head),
+                              conv_mod2(f.bits(head), gb[:head], head))
+
+    def test_cuts_the_product_at_n(self):
+        # the shifted top coefficient lands at n and n + 4, inside the last word
+        for n in (10, 100, 1000):
+            prod = mul(F2Series.from_support([n - 1], n),
+                       F2Series.from_support([1, 5], n), n)
+            assert prod.is_zero() and prod.valid_len == n
 
     @given(series_strategy(), st.integers(0, 160))
     def test_prefix_support(self, f, n):
@@ -151,9 +175,9 @@ class TestSquare:
         supp = rng.choice(1000, size=25, replace=False)
         f = F2Series.from_support(sorted(supp), 1000)
         via_square = substitute_qk(substitute_qk(f, 2, 1000), 2, 1000)
-        via_power = power(f, 4, 1000)
+        via_oracle = square_and_multiply(f, 4, 1000)
         via_mul = mul(mul(f, f, 1000), mul(f, f, 1000), 1000)
-        assert via_square == via_power == via_mul
+        assert via_square == via_oracle == via_mul
 
     @given(series_strategy())
     def test_square_is_self_product(self, f):
@@ -168,19 +192,12 @@ class TestSquare:
 class TestPower:
     def test_unit_exponent(self):
         d = delta_series(50)
-        assert power(d, 1, 50) == d
+        assert square_and_multiply(d, 1, 50) == d
 
     def test_delta_cubed_against_triple_enumeration(self):
-        cube = power(delta_series(100), 3, 100)
+        cube = square_and_multiply(delta_series(100), 3, 100)
         assert set(support_list(cube)) == odd_square_triple_parity(100)
         assert support_list(cube) == [3, 11, 19, 43, 59, 67, 75, 83, 99]
-
-    def test_rejects_bad_arguments(self):
-        d = delta_series(10)
-        with pytest.raises(ValueError):
-            power(d, 0, 10)
-        with pytest.raises(ValueError):
-            power(d, 2, 0)
 
     @given(series_strategy(max_len=80), st.integers(1, 6))
     @settings(max_examples=40)
@@ -189,7 +206,7 @@ class TestPower:
         acc = f
         for _ in range(e - 1):
             acc = mul(acc, f, n)
-        assert power(f, e, n) == acc
+        assert square_and_multiply(f, e, n) == acc
 
 
 class TestSubstitute:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etaparity import genforms
-from etaparity.f2series import F2Series, add, mul, power, substitute_qk
+from etaparity.f2series import F2Series, add, mul, substitute_qk
 from etaparity.genforms import (CongruenceTheta, EtaPowerParams, c_series,
                                 congruence_theta, delta_series,
                                 eta_product_pnt, f_series, generator_power,
@@ -63,19 +63,19 @@ class TestGenerators:
     def test_c_from_f(self):
         n = 10_000
         f = f_series(n)
-        assert add(f, power(f, 4, n)) == c_series(n)
+        assert add(f, square_and_multiply(f, 4, n)) == c_series(n)
 
     def test_delta_from_f(self):
         n = 10_000
         f = f_series(n)
         total = F2Series.zero(n)
         for e in (1, 4, 9, 12):
-            total = add(total, power(f, e, n))
+            total = add(total, square_and_multiply(f, e, n))
         assert total == delta_series(n)
 
     def test_c_cubed_is_dilated_delta(self):
         n = 10_000
-        assert power(c_series(n), 3, n) == \
+        assert square_and_multiply(c_series(n), 3, n) == \
             substitute_qk(delta_series(n // 3 + 1), 3, n)
 
 
@@ -108,7 +108,7 @@ class TestPentagonal:
     def test_twenty_fourth_power_gives_delta(self):
         n = 10_000
         lhs = mul(F2Series.from_support([1], n),
-                  power(eta_product_pnt(n), 24, n), n)
+                  square_and_multiply(eta_product_pnt(n), 24, n), n)
         assert lhs == delta_series(n)
 
 
@@ -229,7 +229,7 @@ class TestGeneratorPowerCache:
             # every cached power, requested or a prefix, is h^e to its length
             for (gen, e), got in genforms._powers.items():
                 h, n = genforms.GENERATORS[gen][0], got.valid_len
-                want = F2Series.one(n) if e == 0 else power(h(n), e, n)
+                want = F2Series.one(n) if e == 0 else square_and_multiply(h(n), e, n)
                 assert np.array_equal(got.bits(), want.bits()), (gen, e, n)
 
     def test_one_multiply_per_new_power(self, monkeypatch):
@@ -252,7 +252,7 @@ class TestGeneratorPowerCache:
         assert [genforms._powers[("delta", e)].valid_len for e in (1, 3, 7)] == [2 * n] * 3
         for e in (7, 14, 56):
             got = generator_power("delta", e, n)
-            assert got == power(triangular_theta(n), e, n), e
+            assert got == square_and_multiply(triangular_theta(n), e, n), e
 
     def test_cold_power_costs_its_frobenius_product(self, monkeypatch):
         # h^e from an empty cache takes popcount(odd part of e) - 1 multiplies,
@@ -276,13 +276,13 @@ class TestCongruenceTheta:
         f = f_series(n)
         poly = F2Series.zero(n)
         for e in (11, 14, 17, 20):
-            poly = add(poly, power(f, e, n))
+            poly = add(poly, square_and_multiply(f, e, n))
         assert theta == poly
 
     def test_c_fifth_shape(self):
         n = 100
         theta = congruence_theta(CongruenceTheta(4, 1, UNIT_MOD_6, UNIT_MOD_6), n)
-        assert theta == power(c_series(n), 5, n)
+        assert theta == square_and_multiply(c_series(n), 5, n)
 
     def test_empty_conditions(self):
         spec = CongruenceTheta(1, 1, (2, frozenset()), ODD)

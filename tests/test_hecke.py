@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from etaparity import primes
-from etaparity.f2series import F2Series, power, substitute_qk
+from etaparity.f2series import F2Series, substitute_qk
 from etaparity.genforms import c_series, delta_series
-from etaparity.hecke import t_op, u_op, v_op
+from etaparity.hecke import t_op, u_op
+
+from oracles import square_and_multiply
 
 
 def supp(f):
@@ -40,16 +42,16 @@ class TestU:
 
 class TestV:
     def test_monomial(self):
-        assert supp(v_op(F2Series.from_support([1], 5), 3)) == [3]
+        assert supp(substitute_qk(F2Series.from_support([1], 5), 3)) == [3]
 
     def test_section_identity(self, rng):
         exps = rng.choice(200, size=20, replace=False)
         f = F2Series.from_support(sorted(exps), 200)
-        assert u_op(v_op(f, 5), 5) == f
+        assert u_op(substitute_qk(f, 5), 5) == f
 
     def test_vu_keeps_multiples(self):
         f = delta_series(1000)
-        vu = v_op(u_op(f, 3), 3)
+        vu = substitute_qk(u_op(f, 3), 3)
         bits = f.bits(vu.valid_len)
         keep = np.zeros_like(bits)
         keep[::3] = bits[::3]
@@ -62,18 +64,19 @@ class TestT:
 
     def test_t3_delta_cubed(self):
         n = 3000
-        assert t_op(power(delta_series(n), 3, n), 3) == delta_series(n // 3)
+        cube = square_and_multiply(delta_series(n), 3, n)
+        assert t_op(cube, 3) == delta_series(n // 3)
 
     def test_t3_delta_fifth_vanishes(self):
         # Grading forces T_3 on the 5-graded piece into the 7-graded piece,
         # and the expansion shows the image is zero outright.
         n = 5000
-        assert t_op(power(delta_series(n), 5, n), 3).is_zero()
+        assert t_op(square_and_multiply(delta_series(n), 5, n), 3).is_zero()
 
     @pytest.mark.parametrize("ell,expect_c", [(5, True), (7, False)])
     def test_t_on_c_fifth(self, ell, expect_c):
         n = 10_000
-        image = t_op(power(c_series(n), 5, n), ell)
+        image = t_op(square_and_multiply(c_series(n), 5, n), ell)
         if expect_c:
             assert image == c_series(n // ell)
         else:
@@ -110,7 +113,7 @@ class TestGradingAndDuality:
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_level1_grading(self, i, ell):
         n = 4000
-        f = power(delta_series(n), i, n)
+        f = square_and_multiply(delta_series(n), i, n)
         image = t_op(f, ell)
         s = image.support()
         assert not len(s) or np.all(s % 8 == (ell * i) % 8)
@@ -119,7 +122,7 @@ class TestGradingAndDuality:
     @pytest.mark.parametrize("ell", [5, 7, 13])
     def test_level9_grading(self, i, ell):
         n = 20_000
-        f = power(c_series(n), i, n)
+        f = square_and_multiply(c_series(n), i, n)
         image = t_op(f, ell)
         s = image.support()
         assert not len(s) or np.all(s % 24 == (ell * i) % 24)
@@ -127,10 +130,10 @@ class TestGradingAndDuality:
     @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 31])
     def test_first_coefficient_duality(self, ell):
         n = 2000
-        f = power(delta_series(n), 7, n)
+        f = square_and_multiply(delta_series(n), 7, n)
         assert t_op(f, ell).coeff(1) == f.coeff(ell)
 
     def test_commutativity_sample(self):
         n = 31_000
-        f = power(delta_series(n), 7, n)
+        f = square_and_multiply(delta_series(n), 7, n)
         assert t_op(t_op(f, 3), 5) == t_op(t_op(f, 5), 3)

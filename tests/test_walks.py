@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from etaparity import cli, f2series, walks
+from etaparity import cli, walks
 from etaparity.genforms import pentagonal_numbers
 from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
                              partition_parity, walk_arrays)
@@ -50,22 +50,6 @@ class TestPartitionParity:
         inv = naive_series_inverse_bits(product, 300)
         for n in range(1, 301):
             assert np.array_equal(partition_parity(n).bits(), inv[:n]), n
-
-    def test_long_steps_stay_sparse(self, monkeypatch):
-        # the even and odd pentagonal halves have about sqrt(prec) terms, so
-        # once prec >= 2^14 both half-length products take the sparse path
-        dense_lengths = []
-        dense = f2series._mul_dense
-
-        def recording(f, g, n):
-            dense_lengths.append(n)
-            return dense(f, g, n)
-
-        monkeypatch.setattr(f2series, "_mul_dense", recording)
-        n = 2**20 + 1
-        table = partition_parity(n)
-        assert table.valid_len == n
-        assert max(dense_lengths) < 2**13
 
     def test_pentagonal_recurrence_holds(self):
         n = 4000
