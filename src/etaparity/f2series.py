@@ -10,9 +10,16 @@ beyond ``valid_len`` are kept zero in the stored representation.
 Instances are immutable after construction; all operations are pure
 functions returning fresh series.  Squaring is exponent dilation
 (``substitute_qk(f, 2)``); generator powers are built in ``genforms``.
+
+``mul`` is the one product kernel.  It reads the support of the sparser
+operand, which unpacks only nonzero words, and XORs word-aligned slices
+of the denser operand's words into the product, from one scratch copy
+pre-shifted to each bit offset in turn.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -38,23 +45,15 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return buf.view(np.uint64)
 
 
+def _bit_offset(e: int) -> int:
+    return e & 63
+
+
 def _xor_shifted(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
-    """dst ^= (src << shift), truncated to the length of dst."""
-    w, b = shift >> 6, shift & 63
-    n = len(dst)
-    if w >= n:
-        return
-    take = min(len(src), n - w)
-    if take <= 0:
-        return
-    head = src[:take]
-    if b == 0:
-        dst[w:w + take] ^= head
-        return
-    dst[w:w + take] ^= head << np.uint64(b)
-    spill = min(take, n - w - 1)
-    if spill > 0:
-        dst[w + 1:w + 1 + spill] ^= (head >> np.uint64(64 - b))[:spill]
+    """dst ^= (src << shift) for a shift that is a multiple of 64, truncated
+    to the length of dst (src is at least as long): one slice XOR."""
+    view = dst[shift >> 6:]
+    view ^= src[:len(view)]
 
 
 class F2Series:
@@ -132,8 +131,23 @@ class F2Series:
         return (byte_view[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
 
     def support(self, n: int | None = None) -> np.ndarray:
-        """Sorted exponents below n (default valid_len) with coefficient 1."""
-        return np.nonzero(self.bits(n))[0].astype(np.int64)
+        """Sorted exponents below n (default valid_len) with coefficient 1.
+
+        Unpacks only the nonzero words: bit p of their packed stream is
+        exponent p + 64*(nz[p >> 6] - (p >> 6)) for the nonzero word indices
+        nz, and the last word's bits at or past n are cut.
+        """
+        if n is None:
+            n = self.valid_len
+        if n > self.valid_len:
+            raise ValueError("requested bits beyond valid_len")
+        words = self._words[:_nwords(n)]
+        nz = words.nonzero()[0]
+        packed = words[nz]
+        exps = np.unpackbits(packed.view(np.uint8), bitorder="little").nonzero()[0]
+        # each word's lift, repeated once per set bit of that word
+        exps += np.repeat((nz - np.arange(len(nz))) << 6, np.bitwise_count(packed))
+        return exps[:np.searchsorted(exps, n)]
 
     def support_size(self, n: int | None = None) -> int:
         """How many of the first n (default valid_len) coefficients are 1."""
@@ -197,7 +211,13 @@ def mul(f: F2Series, g: F2Series, n_out: int | None = None) -> F2Series:
     XOR-shifts the words of one operand across the support of the other,
     whichever has fewer terms among the first n_out coefficients.  Every
     product in the package has a theta-type factor (support O(sqrt(N))),
-    so the shift count stays near sqrt(n).
+    so the shift count stays near sqrt(n).  The sparse exponents are
+    grouped by bit offset b = e & 63.  For each offset that occurs, one
+    scratch copy of the dense words is shifted left by b bits, with the
+    carry from the word below, and each exponent of the group XORs that
+    copy in at word offset (e - b) / 64: at most 64 shift passes and one
+    word-aligned slice XOR per exponent.  XOR is order-free, so the
+    grouping leaves the bits unchanged.
     """
     n = min(f.valid_len, g.valid_len)
     if n_out is not None:
@@ -207,8 +227,15 @@ def mul(f: F2Series, g: F2Series, n_out: int | None = None) -> F2Series:
     sparse, dense = (f, g) if f.support_size(n) <= g.support_size(n) else (g, f)
     acc = np.zeros(_nwords(n), dtype=np.uint64)
     dwords = dense._words[:_nwords(n)]
-    for e in sparse.support(n):
-        _xor_shifted(acc, dwords, int(e))
+    shifted = np.empty_like(dwords)
+    carry_from, carry_to = dwords[:-1], shifted[1:]
+    exps = sorted(sparse.support(n).tolist(), key=_bit_offset)
+    for b, group in groupby(exps, key=_bit_offset):
+        np.left_shift(dwords, b, out=shifted)
+        # the carry from the word below; numpy shifts by 64 to zero (b = 0)
+        carry_to |= carry_from >> (64 - b)
+        for e in group:
+            _xor_shifted(acc, shifted, e - b)
     # bits of dense at or past n land at or past n, and only here are cut
     _mask_tail(acc, n)
     return F2Series(acc, n)

@@ -116,14 +116,10 @@ def f_series(n: int) -> F2Series:
 
 def pentagonal_numbers(n: int) -> np.ndarray:
     """Generalized pentagonal numbers k(3k±1)/2 below n, for k >= 1."""
-    out = []
-    k = 1
-    while k * (3 * k - 1) // 2 < n:
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g < n:
-                out.append(g)
-        k += 1
-    return np.array(sorted(out), dtype=np.int64)
+    # k(3k - 1)/2 < n exactly when k < (1 + sqrt(24n + 1))/6
+    ks = np.arange(1, (math.isqrt(24 * max(n, 0) + 1) + 1) // 6 + 1, dtype=np.int64)
+    pent = np.concatenate([ks * (3 * ks - 1) // 2, ks * (3 * ks + 1) // 2])
+    return np.sort(pent[pent < n])
 
 
 def eta_product_pnt(n: int) -> F2Series:
@@ -197,7 +193,7 @@ def power_in_q(gen: str, e: int, n: int) -> F2Series:
     s = GENERATORS[gen][1]
     length = (n - e - 1) // s + 1  # h^e coefficients j with e + s*j < n
     h = generator_power(gen, e, length)
-    return F2Series.from_support(e + s * np.nonzero(h.bits(length))[0], n)
+    return F2Series.from_support(e + s * h.support(length), n)
 
 
 def p_r_series(r: int, n: int) -> F2Series:

@@ -38,6 +38,32 @@ def test_density_csv_matches_its_recorded_hash():
         "6aad66622c3652602d44a18835e38e5b46ddd8e6b411459b375285447ce1caec"
 
 
+def test_deep_density_csv_matches_its_recorded_hash():
+    # h^127 to about 3 100 words: the products shift by large word offsets,
+    # which the 32-word table above never reaches.  SHA-256 as written when
+    # mul still shifted the dense operand by each exponent's full bit shift
+    code, out = run_cli("density", "--r", "127", "--prime-bound", "200000",
+                        "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "76e52267e0f24fc19711672de1fd1507011041177830d6167eb10333eb4985ea"
+
+
+@pytest.mark.parametrize("kind, n, digest", [
+    ("all", 20000,
+     "9b31ba4f22153deb8832ca08e804a3a226a1f92833a8c17a6690dcddb00b48c1"),
+    ("delta-subseq", 2000,
+     "642501164715065e9bde4cccd2fa5bf4cfc29db140b17348d0baf6e3cac1c9f3"),
+])
+def test_walk_csv_matches_its_recorded_hash(tmp_path, kind, n, digest):
+    # the Newton inversion's products, hashed as written when mul still
+    # shifted the dense operand by each exponent's full bit shift
+    out = tmp_path / "walk.csv"
+    code, _ = run_cli("walk", "--kind", kind, "--n", str(n), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_verify_json_matches_its_recorded_hash():
     # SHA-256 of this JSON as written when the identities suite still took
     # its powers from a separate Frobenius product: the cache gives the same

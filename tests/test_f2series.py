@@ -123,7 +123,12 @@ class TestMul:
 
         monkeypatch.setattr(f2series, "_xor_shifted", counting)
         prod = mul(f, g, n)
-        assert shifts == [int(e) for e in f.support(n)]
+        # one word-aligned XOR per exponent of the sparser operand, taken
+        # from the copy pre-shifted by the exponent's bit offset
+        exps = [int(e) for e in f.support(n)]
+        assert len(exps) == 418
+        assert all(shift % 64 == 0 for shift in shifts)
+        assert sorted(shifts) == sorted(e - e % 64 for e in exps)
         # conv_mod2 at 2^16 takes seconds; XOR the unpacked bits instead
         want = np.zeros(n, dtype=np.uint8)
         for e in f.support(n):
@@ -133,12 +138,57 @@ class TestMul:
         assert np.array_equal(prod.bits(head),
                               conv_mod2(f.bits(head), gb[:head], head))
 
+    def test_every_bit_offset_against_convolution(self, rng):
+        # several exponents at each of the 64 bit offsets, 0 and n - 1 among
+        # them, so every pre-shifted copy and its carry from the word below
+        # reach the product
+        n = 64 * 40 + 17
+        exps = {0, n - 1}
+        for b in range(64):
+            exps.update((64 * rng.choice(40, size=3, replace=False) + b).tolist())
+        f = F2Series.from_support(sorted(exps), n)
+        gb = (rng.random(n) < 0.5).astype(np.uint8)
+        g = F2Series.from_bits(gb)
+        assert f.support_size() < g.support_size()
+        want = conv_mod2(f.bits(), gb, n)
+        assert np.array_equal(mul(f, g).bits(), want)
+        assert np.array_equal(mul(g, f).bits(), want)
+
+    @pytest.mark.parametrize("n", [5, 37, 64])
+    def test_single_word_against_convolution(self, rng, n):
+        # one word, so the carry slice is empty
+        f = F2Series.from_support([0, n // 2, n - 1], n)
+        gb = np.ones(n, dtype=np.uint8)
+        gb[rng.choice(n, size=n // 4, replace=False)] = 0
+        g = F2Series.from_bits(gb)
+        assert f.support_size() < g.support_size()
+        assert np.array_equal(mul(f, g).bits(), conv_mod2(f.bits(), gb, n))
+
     def test_cuts_the_product_at_n(self):
         # the shifted top coefficient lands at n and n + 4, inside the last word
         for n in (10, 100, 1000):
             prod = mul(F2Series.from_support([n - 1], n),
                        F2Series.from_support([1, 5], n), n)
             assert prod.is_zero() and prod.valid_len == n
+
+    @pytest.mark.parametrize("exps, valid_len", [
+        # the zero series: an empty int64 array at every n
+        ([], 200),
+        # runs of all-zero words between nonzero ones
+        ([3, 64 * 5 + 1, 64 * 5 + 63, 64 * 9, 64 * 12 + 7], 64 * 13),
+        # set bits in the last word at and past every cut below valid_len
+        ([1, 70, 100, 101, 127], 128),
+        ([0, 63, 64, 65, 130, 149], 150),
+    ])
+    def test_support_skips_zero_words_and_cuts_at_n(self, exps, valid_len):
+        f = F2Series.from_support(exps, valid_len)
+        for n in range(valid_len + 1):
+            supp = f.support(n)
+            assert supp.dtype == np.int64
+            assert supp.tolist() == [e for e in exps if e < n]
+            assert supp.tolist() == support_list(f.truncate(n))
+        with pytest.raises(ValueError):
+            f.support(valid_len + 1)
 
     @given(series_strategy(), st.integers(0, 160))
     def test_prefix_support(self, f, n):

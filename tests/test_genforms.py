@@ -100,6 +100,17 @@ class TestPentagonal:
     def test_pentagonal_numbers(self):
         assert list(pentagonal_numbers(30)) == [1, 2, 5, 7, 12, 15, 22, 26]
 
+    def test_pentagonal_numbers_against_enumeration(self):
+        for n in range(3001):
+            want, k = [], 1
+            while k * (3 * k - 1) // 2 < n:
+                want += [g for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+                         if g < n]
+                k += 1
+            want.sort()
+            got = pentagonal_numbers(n)
+            assert got.dtype == np.int64 and got.tolist() == want
+
     def test_against_naive_product(self):
         n = 10_000
         naive = mask_to_bits(naive_eta_product_mask(n), n)
