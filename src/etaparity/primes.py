@@ -28,6 +28,7 @@ class PrimeSieve:
         self.bound = bound
         self._packed = np.packbits(flags, bitorder="little")
         self._primes = np.nonzero(flags)[0].astype(np.int64)
+        self._primes.flags.writeable = False  # primes() hands out views
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.bound:
@@ -35,11 +36,12 @@ class PrimeSieve:
         return bool((self._packed[n >> 3] >> (n & 7)) & 1)
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
+        """A read-only view of the primes p with lo <= p <= hi."""
         hi = self.bound if hi is None else hi
         if hi > self.bound:
             raise ValueError("beyond sieve bound")
         arr = self._primes
-        return arr[(arr >= lo) & (arr <= hi)]
+        return arr[np.searchsorted(arr, lo):np.searchsorted(arr, hi, side="right")]
 
 
 _sieve: PrimeSieve | None = None

@@ -10,13 +10,16 @@ on the undilated g, interleaved.  The classical pentagonal XOR recurrence
 holds coefficientwise and is asserted in the tests rather than used as the
 engine.
 
-The CSV rows are built in numpy: each CSV column is a uint8 block with
-one cell per block column and zero bytes as padding, and the stacked
-blocks are transposed and compacted into the row bytes.
+The CSV rows are built in numpy, one chunk at a time, as a row-major
+uint8 matrix with one CSV row per matrix row.  Each cell is gathered from
+lookup tables of ASCII digit groups, four digits to a uint32 lane, so a
+cell costs one divide per four digits rather than one per digit.  Zero
+bytes pad the cells, and one compaction per chunk drops them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import BinaryIO
@@ -123,34 +126,74 @@ def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return steps, np.cumsum(steps)
 
 
-# rows per write; the digit buffers of a chunk stay a few MB
-_CHUNK = 1 << 14
+# rows per write; a chunk's temporaries stay near 1 MB
+_CHUNK = 1 << 13
+
+# one uint32 lane holds four ASCII digits
+_GROUP = 10_000
 
 
-def _int_block(values: np.ndarray) -> np.ndarray:
-    """Each int64 value as right-aligned ASCII in one column of a uint8
-    block of shape (width, len(values)), where a zero byte is padding."""
-    neg = values < 0
-    mag = values.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # wraps to |v|, the int64 minimum too
-    digits = len(str(int(mag.max())))
-    width = digits + bool(neg.any())
-    block = np.zeros((width, len(values)), dtype=np.uint8)
-    for row in range(width - 1, width - 1 - digits, -1):
-        q = mag // 10
-        block[row] = mag - 10 * q
-        block[row] += ord("0")
-        if row < width - 1:  # zero is written "0"; other zeros are padding
-            block[row] *= mag > 0
-        mag = q
-    cols = np.flatnonzero(neg)
-    block[np.argmax(block[:, cols] != 0, axis=0) - 1, cols] = ord("-")
-    return block
+@functools.cache
+def _lane_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII lookup tables of uint32 lanes, built on first use.
+
+    ``units[g]`` for g < 10^4 is g right-aligned in zero bytes ("0" for
+    0), and ``units[10^4 + g]`` is g padded with "0" to four digits;
+    ``high`` is ``units`` except that its 0 is all zero bytes.  ``point[f]``
+    is "." and f padded to three digits, for f < 1000.
+    """
+    g = np.arange(_GROUP, dtype=np.uint16)[:, None]
+    power = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (g // power % 10 + ord("0")).astype(np.uint8)
+    unpadded = padded * (g >= power)
+    unpadded[0, -1] = ord("0")
+    units = np.concatenate([unpadded, padded]).view(np.uint32).ravel()
+    high = units.copy()
+    high[0] = 0
+    point = padded[:1000].copy()
+    point[:, 0] = ord(".")
+    tables = units, high, point.view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
 
 
-def _band_block(x: np.ndarray) -> np.ndarray:
-    """Cells equal to format(v, ".3f") for non-negative floats v, as for
-    _int_block."""
+def _digit_lanes(mag: np.ndarray) -> list[np.ndarray]:
+    """The decimal digits of the non-negative ints mag as uint32 lanes,
+    most significant first: one lane per four digits of mag.max().
+
+    A lane takes group q_j = mag // 10^(4j) from the padded half of its
+    table while q_j >= 10^4 (a digit stands to its left), else the
+    unpadded half: the index is min(q_j, 10^4 + q_j % 10^4).
+    """
+    units, high, _ = _lane_tables()
+    top = int(mag.max())
+    lanes, table, q = [], units, mag
+    while top >= _GROUP:
+        above = q // _GROUP
+        index = q - _GROUP * above
+        index += _GROUP
+        np.minimum(index, q, out=index)
+        lanes.append(table[index])
+        table, q, top = high, above, top // _GROUP
+    lanes.append(table[q])
+    return lanes[::-1]
+
+
+_MINUS, _COMMA, _NEWLINE = (np.uint8(ord(c)) for c in "-,\n")
+
+
+def _int_cell(values: np.ndarray) -> list[np.ndarray]:
+    """Row pieces equal to str(v) for int64 values: a sign byte ("-" or
+    zero) and the digit lanes of |v|."""
+    # abs wraps the int64 minimum onto itself; as uint64 it reads 2^63
+    mag = np.abs(values).view(np.uint64)
+    return [(values < 0).view(np.uint8) * _MINUS, *_digit_lanes(mag)]
+
+
+def _band_cell(x: np.ndarray) -> list[np.ndarray]:
+    """Row pieces equal to format(v, ".3f") for non-negative floats v: the
+    digit lanes of the whole part and one ".ddd" lane."""
     scaled = x * 1000.0
     k = np.rint(scaled)
     # format rounds the exact binary value, but x*1000 is itself rounded:
@@ -159,22 +202,33 @@ def _band_block(x: np.ndarray) -> np.ndarray:
     k = k.astype(np.int64)
     for i in near:
         k[i] = int(format(x[i], ".3f").replace(".", ""))
-    frac = _int_block(1000 + k % 1000)  # "1ddd": the 1 becomes the point
-    frac[0] = ord(".")
-    return np.vstack([_int_block(k // 1000), frac])
+    whole = k // 1000
+    k -= 1000 * whole  # now the thousandths
+    _, _, point = _lane_tables()
+    return [*_digit_lanes(whole), point[k]]
+
+
+def _rows(pieces: list, count: int) -> np.ndarray:
+    """The (count, width) uint8 matrix whose rows lay the pieces side by
+    side: each piece is one value per row (an array of count) or one for
+    every row (a scalar).  Zero bytes are padding."""
+    width = sum(piece.itemsize for piece in pieces)
+    rows = np.empty((count, width), dtype=np.uint8)
+    at = 0
+    for piece in pieces:
+        np.ndarray(count, piece.dtype, rows, at, (width,))[...] = piece
+        at += piece.itemsize
+    return rows
 
 
 def _row_bytes(first: int, steps: np.ndarray, sums: np.ndarray) -> bytes:
     """CSV rows n, step, sum, sqrt(n), 2*sqrt(n) for n = first, first+1, ..."""
     idx = np.arange(first, first + len(steps), dtype=np.int64)
     band = np.sqrt(idx)
-    blocks = [_int_block(idx), _int_block(steps), _int_block(sums),
-              _band_block(band), _band_block(2 * band)]
-    parts = []
-    for block, end in zip(blocks, ",,,,\n"):
-        parts += [block, np.full((1, len(idx)), ord(end), dtype=np.uint8)]
-    mat = np.ascontiguousarray(np.vstack(parts).T)
-    return mat[mat != 0].tobytes()
+    pieces = [*_digit_lanes(idx), _COMMA, *_int_cell(steps), _COMMA,
+              *_int_cell(sums), _COMMA, *_band_cell(band), _COMMA,
+              *_band_cell(2 * band), _NEWLINE]
+    return _rows(pieces, len(idx)).tobytes().translate(None, b"\0")
 
 
 def emit_walk(kind: str, n: int, out: BinaryIO) -> None:

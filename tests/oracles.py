@@ -219,10 +219,15 @@ def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[in
     return direct, formula
 
 
+def walk_rows_reference(first, steps, sums) -> bytes:
+    """Walk CSV rows for n = first, first+1, ..., one f-string per row."""
+    rows = []
+    for i, (s, c) in enumerate(zip(steps, sums), start=first):
+        b = math.sqrt(i)
+        rows.append(f"{i},{int(s)},{int(c)},{b:.3f},{2 * b:.3f}\n")
+    return "".join(rows).encode()
+
+
 def walk_csv_reference(steps, sums) -> bytes:
     """The walk CSV written one f-string per row, the format's definition."""
-    rows = ["n,step,sum,sqrt_band,two_sqrt_band"]
-    for i, (s, c) in enumerate(zip(steps, sums), start=1):
-        b = math.sqrt(i)
-        rows.append(f"{i},{int(s)},{int(c)},{b:.3f},{2 * b:.3f}")
-    return ("\n".join(rows) + "\n").encode()
+    return b"n,step,sum,sqrt_band,two_sqrt_band\n" + walk_rows_reference(1, steps, sums)

@@ -64,6 +64,21 @@ def test_walk_csv_matches_its_recorded_hash(tmp_path, kind, n, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("kind, n, digest", [
+    ("all", 1_000_000,
+     "d84123402a533ce658d45e2b3454c298f3c71cdf80fcb3dcef977cac569e1b74"),
+    ("delta-subseq", 100_000,
+     "91d7f35dfcb27f8b7a2fdc600f1bf009c171b95235d91c1843e350235258b530"),
+])
+def test_full_size_walk_csv_matches_its_recorded_hash(tmp_path, kind, n, digest):
+    # the benchmark's two walks, hashed as written when each digit of a
+    # cell still took its own divide-and-mask pass over the column
+    out = tmp_path / "walk.csv"
+    code, _ = run_cli("walk", "--kind", kind, "--n", str(n), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_verify_json_matches_its_recorded_hash():
     # SHA-256 of this JSON as written when the identities suite still took
     # its powers from a separate Frobenius product: the cache gives the same

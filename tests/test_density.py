@@ -27,6 +27,23 @@ class TestPrimeSieve:
         sieve = PrimeSieve(10_000)
         assert list(sieve.primes()) == trial_division_primes(10_000)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (2, 997), (0, 997), (-7, 3), (2, 2), (4, 4), (24, 28), (500, 499),
+        (997, 2), (991, 997), (992, 997), (997, 997), (998, 997)])
+    def test_slices_against_trial_division(self, lo, hi):
+        # empty ranges, lo > hi, and hi == bound, where the bound 997 is prime
+        want = [p for p in trial_division_primes(997) if lo <= p <= hi]
+        assert PrimeSieve(997).primes(lo, hi).tolist() == want
+
+    def test_slices_are_read_only(self):
+        sieve = PrimeSieve(1000)
+        ps = sieve.primes(5, 1000)
+        with pytest.raises(ValueError):
+            ps[0] = 4
+        with pytest.raises(ValueError):
+            prime_array(5, 100)[:] += 1
+        assert sieve.primes(5, 7).tolist() == [5, 7]
+
     def test_membership(self):
         sieve = PrimeSieve(100)
         assert sieve.is_prime(97) and not sieve.is_prime(91)

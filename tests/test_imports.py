@@ -38,3 +38,14 @@ def test_primes_imports_no_package_module():
         "assert mod.is_prime(97) and not mod.is_prime(91)\n"
         "assert not [m for m in sys.modules if m.startswith('etaparity')]\n")
     assert done.returncode == 0, done.stderr
+
+
+def test_walks_builds_its_lookup_tables_on_first_use():
+    done = run_python(
+        "import numpy as np\n"
+        "from etaparity import walks\n"
+        "assert walks._lane_tables.cache_info().currsize == 0\n"
+        "one = np.ones(1, dtype=np.int64)\n"
+        "assert walks._row_bytes(1, one, one) == b'1,1,1,1.000,2.000\\n'\n"
+        "assert walks._lane_tables.cache_info().currsize == 1\n")
+    assert done.returncode == 0, done.stderr

@@ -15,7 +15,8 @@ from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
 
 from oracles import (delta_ell_from_window, exact_partitions, mask_to_bits,
                      naive_eta_product_mask, naive_series_inverse_bits,
-                     trial_division_primes, walk_csv_reference)
+                     trial_division_primes, walk_csv_reference,
+                     walk_rows_reference)
 
 
 def write_walk(kind, n, path):
@@ -138,8 +139,9 @@ class TestWalks:
             walk_arrays("bogus", 10)
 
 
-def cell_strings(block) -> list[str]:
-    return [bytes(col[col != 0]).decode() for col in block.T]
+def cell_strings(pieces, count) -> list[str]:
+    rows = walks._rows(pieces, count)
+    return [bytes(row[row != 0]).decode() for row in rows]
 
 
 class TestWalkWriter:
@@ -166,20 +168,30 @@ class TestWalkWriter:
         x = factor * np.sqrt(np.array([n], dtype=np.int64))
         k = np.rint(x * 1000)
         assert abs(abs(x[0] * 1000 - k[0]) - 0.5) < 1e-6
-        assert cell_strings(walks._band_block(x)) == [format(x[0], ".3f")]
+        assert cell_strings(walks._band_cell(x), 1) == [format(x[0], ".3f")]
 
     @given(st.lists(st.floats(0, 1e5, exclude_max=True), min_size=1, max_size=50))
     @example([0.0625, 1.0625, 2.5625])  # exact dyadic ties: round half to even
     @example([0.0005, 0.1235, 12.3455])  # x*1000 rounds onto a half; x does not
     def test_band_cells_match_format(self, values):
         x = np.array(values, dtype=np.float64)
-        assert cell_strings(walks._band_block(x)) == [format(v, ".3f") for v in values]
+        assert cell_strings(walks._band_cell(x), len(x)) == [format(v, ".3f") for v in values]
 
     @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=50))
     @example([0, -1, 1, -10, 10, -2**63, 2**63 - 1])
     def test_int_cells_match_str(self, values):
         x = np.array(values, dtype=np.int64)
-        assert cell_strings(walks._int_block(x)) == [str(v) for v in values]
+        assert cell_strings(walks._int_cell(x), len(x)) == [str(v) for v in values]
+
+    @pytest.mark.parametrize("first", [10**7 - 2, 10**8, 10**9 - 2, 10**9])
+    def test_wide_rows(self, first):
+        # 8- to 10-digit n, band whole parts of 10^4 and more, and sums of
+        # 5 to 7 digits: rows no benchmark walk reaches, from synthetic
+        # steps and sums rather than a built walk
+        sums = np.array([-99_999, 99_999, -10**6, 10**6, 0, -1, 1], dtype=np.int64)
+        steps = np.array([1, -1] * 3 + [1], dtype=np.int64)
+        got = walks._row_bytes(first, steps, sums)
+        assert got == walk_rows_reference(first, steps, sums)
 
 
 class TestWalkMemoryCheck:
