@@ -147,9 +147,11 @@ def cell_strings(pieces, count) -> list[str]:
 class TestWalkWriter:
     """The numpy row writer against the f-string rows that define the format."""
 
-    @pytest.mark.parametrize("n", [
-        1, 9, 10, 99, 100,
-        walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7])
+    # the chunk edges of the current chunk size, and those of 16384-row
+    # chunks, which stay as sizes spanning several chunks
+    @pytest.mark.parametrize("n", sorted({
+        1, 9, 10, 99, 100, 16383, 16384, 16385, 49159,
+        walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7}))
     def test_all_walk_bytes(self, n, tmp_path):
         out = tmp_path / "walk.csv"
         write_walk("all", n, out)
