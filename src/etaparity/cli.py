@@ -16,7 +16,7 @@ import sys
 
 from . import density, suites, walks
 from .density import PrecisionError
-from .genforms import p_r_series
+from .genforms import eta_product_pnt, f_series, p_r_series
 from .level1 import genpoly_series
 from .level9 import ABELIAN_CLASSES, abelian_form
 
@@ -60,10 +60,8 @@ def _expand_series(form: str, n: int):
     if form == "C":
         return p_r_series(1, n)
     if form == "F":
-        from .genforms import f_series
         return f_series(n)
     if form == "pnt":
-        from .genforms import eta_product_pnt
         return eta_product_pnt(n)
     if form.startswith("P:"):
         return p_r_series(int(form[2:]), n)
@@ -71,7 +69,7 @@ def _expand_series(form: str, n: int):
         i = int(form[6:])
         if i not in ABELIAN_CLASSES:
             raise ValueError(f"alpha index must be one of {ABELIAN_CLASSES}")
-        return genpoly_series(abelian_form(i).genpoly(), n)
+        return genpoly_series(abelian_form(i), n)
     raise ValueError(f"unknown form {form!r}; use delta|C|F|P:r|alpha:i|pnt")
 
 
@@ -91,7 +89,7 @@ def _density_rows(r: int, prime_bound: int):
     formula = density.eta_density_formula(r, prime_bound)
     exact = density.eta_density_exact(r)
     routes_ok = abs(direct.value - formula.value) <= ROUTE_AGREE_TOLERANCE
-    exact_ok = exact is None or abs(direct.value - exact.value) <= direct.tolerance
+    exact_ok = exact is None or abs(direct.value - float(exact)) <= direct.tolerance
     rows = [density.density_report_row(r, prime_bound, "direct", direct),
             density.density_report_row(r, prime_bound, "formula", formula)]
     return rows, routes_ok and exact_ok

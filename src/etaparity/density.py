@@ -14,7 +14,8 @@ where a closed form is proven.  For a prime ell let u be
   It differs from direct only where the window lifts mu above u, that is
   where u * ell < b_r, and there it reads below P_r's first term;
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
-  the two dihedral families, and the handful of abelian eta powers.
+  the two dihedral families, and the handful of abelian eta powers, each
+  a dyadic ``fractions.Fraction``, so exact values add exactly.
 
 Both empirical routes read P_r = g^(b_r) = q^(b_r) * h^(b_r)(q^s) (see
 ``genforms``) at q-exponents E through one helper: the bit is that of
@@ -22,6 +23,10 @@ h^(b_r) at (E - b_r)/s when E >= b_r and E ≡ b_r (mod s), and zero
 otherwise.  Every E either route reads is below b_r + m_r * prime_bound + 1,
 so both ask the generator-power cache for the same m_r * prime_bound // s + 1
 coefficients of h^(b_r), and the second route is served from the cache.
+
+The module reads series through ``genforms`` and primes through
+``primes`` alone; it loads none of the form-algebra modules ``level1``,
+``hecke`` and ``cheby``.
 
 Primes 2 and 3 are excluded from every scan (congruence obstructions); a
 scan over no primes at all raises ``EmptyScanError``.  Estimates carry
@@ -32,17 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .f2series import F2Series
 from .genforms import GENERATORS, EtaPowerParams, generator_power, least_shift
-from .level1 import DyadicRational
 from .primes import prime_array
 
 TOLERANCE_FLOOR = 0.02
 SIGMA_FACTOR = 4.0
-MAX_LOG_DENOMINATOR = 6
 
 
 class PrecisionError(ValueError):
@@ -68,14 +72,15 @@ class DensityEstimate:
     hits: int
     samples: int
     value: float
-    nearest_dyadic: DyadicRational
+    nearest_dyadic: Fraction
     residual: float
 
     @classmethod
     def from_counts(cls, hits: int, samples: int) -> "DensityEstimate":
         value = hits / samples
-        near = DyadicRational.nearest(value, MAX_LOG_DENOMINATOR)
-        return cls(hits, samples, value, near, abs(value - near.value))
+        # the closest a/2^k with k <= 6 in [0, 1], ties rounded up
+        near = Fraction(min(max(math.floor(value * 64 + 0.5), 0), 64), 64)
+        return cls(hits, samples, value, near, abs(value - float(near)))
 
     @property
     def sigma(self) -> float:
@@ -146,7 +151,7 @@ def wn(n: int) -> int:
     return 4**n + 1
 
 
-def _dihedral_exact(r: int) -> DyadicRational | None:
+def _dihedral_exact(r: int) -> Fraction | None:
     n = 1
     while True:
         z, w = zn(n), wn(n)
@@ -155,40 +160,40 @@ def _dihedral_exact(r: int) -> DyadicRational | None:
         for a in (3, 6, 12, 24):
             if r == a * z:
                 if a in (3, 6):
-                    return DyadicRational(1, 2) if n == 1 else DyadicRational(1, n)
-                return DyadicRational(1, n + 1)
+                    return Fraction(1, 4) if n == 1 else Fraction(1, 2**n)
+                return Fraction(1, 2**(n + 1))
             if r == a * 3 * z:
                 if a in (3, 6):
-                    return DyadicRational(3, n + 2)
-                return DyadicRational(1, n + 2)
+                    return Fraction(3, 2**(n + 2))
+                return Fraction(1, 2**(n + 2))
             if r == a * w:
                 if a == 3:
-                    return DyadicRational(1, 2) if n == 1 else DyadicRational(3, n + 1)
-                return DyadicRational(1, n + 1)
+                    return Fraction(1, 4) if n == 1 else Fraction(3, 2**(n + 1))
+                return Fraction(1, 2**(n + 1))
         n += 1
 
 
 # Eta powers congruent to abelian forms: r = a*s for a | 8, s in {5, 7, 13}
 # all have density 1/8; the multiples of the abelian delta powers
 # delta^7, delta^19, delta^21 carry the values below.
-_ABELIAN_EXACT: dict[int, DyadicRational] = {
-    **{a * s: DyadicRational(1, 3) for a in (1, 2, 4, 8) for s in (5, 7, 13)},
-    3 * 7: DyadicRational(5, 3),
-    3 * 19: DyadicRational(5, 3),
-    3 * 21: DyadicRational(5, 3),
-    6 * 7: DyadicRational(3, 3),
-    6 * 19: DyadicRational(1, 2),
-    6 * 21: DyadicRational(1, 2),
-    12 * 7: DyadicRational(1, 3),
-    12 * 19: DyadicRational(1, 3),
-    12 * 21: DyadicRational(1, 3),
-    24 * 7: DyadicRational(1, 3),
-    24 * 19: DyadicRational(1, 3),
-    24 * 21: DyadicRational(1, 3),
+_ABELIAN_EXACT: dict[int, Fraction] = {
+    **{a * s: Fraction(1, 8) for a in (1, 2, 4, 8) for s in (5, 7, 13)},
+    3 * 7: Fraction(5, 8),
+    3 * 19: Fraction(5, 8),
+    3 * 21: Fraction(5, 8),
+    6 * 7: Fraction(3, 8),
+    6 * 19: Fraction(1, 4),
+    6 * 21: Fraction(1, 4),
+    12 * 7: Fraction(1, 8),
+    12 * 19: Fraction(1, 8),
+    12 * 21: Fraction(1, 8),
+    24 * 7: Fraction(1, 8),
+    24 * 19: Fraction(1, 8),
+    24 * 21: Fraction(1, 8),
 }
 
 
-def eta_density_exact(r: int) -> DyadicRational | None:
+def eta_density_exact(r: int) -> Fraction | None:
     """Proven value of the parity density at r, or None with no closed form.
 
     Covers the vanishing classification (r dividing or divisible by 32 or
@@ -197,7 +202,7 @@ def eta_density_exact(r: int) -> DyadicRational | None:
     if r < 1:
         raise ValueError("r must be a positive integer")
     if 32 % r == 0 or r % 32 == 0 or 48 % r == 0 or r % 48 == 0:
-        return DyadicRational(0, 0)
+        return Fraction(0)
     dihedral = _dihedral_exact(r)
     if dihedral is not None:
         return dihedral

@@ -20,6 +20,7 @@ from the binary digit statistics of a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -202,44 +203,7 @@ def is_dihedral_window(c: np.ndarray) -> bool:
     return not c[1:, 1:].any()
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """Exact a/2^k in lowest terms (numerator odd or zero)."""
-
-    numerator: int
-    log_denominator: int
-
-    def __post_init__(self):
-        if self.numerator < 0 or self.log_denominator < 0:
-            raise ValueError("dyadic rationals here are nonnegative")
-        num, log = self.numerator, self.log_denominator
-        while num and num % 2 == 0 and log > 0:
-            num //= 2
-            log -= 1
-        if num == 0:
-            log = 0
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "log_denominator", log)
-
-    @property
-    def value(self) -> float:
-        return self.numerator / (1 << self.log_denominator)
-
-    @classmethod
-    def nearest(cls, x: float, max_log_denominator: int = 6) -> "DyadicRational":
-        """Closest a/2^k with k <= max_log_denominator (ties round up)."""
-        scale = 1 << max_log_denominator
-        k = int(np.floor(x * scale + 0.5))
-        k = min(max(k, 0), scale)
-        return cls(k, max_log_denominator)
-
-    def __str__(self) -> str:
-        if self.log_denominator == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.log_denominator}"
-
-
-def dihedral_density(a: int) -> DyadicRational:
+def dihedral_density(a: int) -> Fraction:
     """Density of odd prime coefficients for the axis basis forms m(a,0), m(0,a).
 
     Value 2^-(u(a)+v(a)+1); a = 0 gives the generator itself, whose prime
@@ -248,6 +212,6 @@ def dihedral_density(a: int) -> DyadicRational:
     if a < 0:
         raise ValueError("a must be nonnegative")
     if a == 0:
-        return DyadicRational(0, 0)
+        return Fraction(0)
     stats = cheby.digit_stats(a)
-    return DyadicRational(1, stats.u + stats.v + 1)
+    return Fraction(1, 2**(stats.u + stats.v + 1))

@@ -11,7 +11,6 @@ two-variable theta series, which serves as the independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,40 +91,23 @@ def verify_u2_u3_kernel(n_max: int, n_coeffs: int) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class AbelianFormSpec:
-    """An abelian form: F-polynomial plus its theta-series oracle."""
-
-    i: int
-    f_exponents: frozenset[int]
-    theta: CongruenceTheta
-
-    def genpoly(self) -> GenPoly:
-        return GenPoly(9, self.f_exponents)
-
-
-def abelian_form(i: int, n_check: int = 10_000) -> AbelianFormSpec:
-    """Build alpha_i both ways and assert the two expansions agree.
-
-    The F-polynomial and the theta enumeration are compared on the first
-    n_check coefficients before the form is returned.
-    """
+def abelian_form(i: int, n_check: int = 10_000) -> GenPoly:
+    """alpha_i as an F-polynomial, built both ways: the polynomial and its
+    theta enumeration are compared on the first n_check coefficients
+    before it is returned."""
     if i not in ABELIAN_CLASSES:
         raise ValueError(f"abelian class must be one of {ABELIAN_CLASSES}")
-    exps = _F_EXPONENTS[i]
-    theta_spec = _THETA_TABLE[i]
-    series = genpoly_series(GenPoly(9, exps), n_check)
-    theta = congruence_theta(theta_spec, n_check)
-    if series != theta:
+    form = GenPoly(9, _F_EXPONENTS[i])
+    series = genpoly_series(form, n_check)
+    if series != congruence_theta(_THETA_TABLE[i], n_check):
         raise AssertionError(f"alpha_{i}: polynomial and theta expansions disagree")
-    return AbelianFormSpec(i, exps, theta_spec)
+    return form
 
 
-def verify_abelian_law(form: AbelianFormSpec, prime_bound: int) -> list[int]:
-    """Primes 5 <= ell <= prime_bound violating a_ell(alpha_i) = [ell ≡ i mod 24],
-    for the form alpha_i built by abelian_form(i)."""
-    series = genpoly_series(form.genpoly(), prime_bound + 1)
+def verify_abelian_law(i: int, prime_bound: int) -> list[int]:
+    """Primes 5 <= ell <= prime_bound violating a_ell(alpha_i) = [ell ≡ i mod 24]."""
+    series = genpoly_series(GenPoly(9, _F_EXPONENTS[i]), prime_bound + 1)
     primes = prime_array(5, prime_bound)
     bits = series.coeffs_at(primes)
-    want = (primes % 24 == form.i).astype(np.uint8)
+    want = (primes % 24 == i).astype(np.uint8)
     return [int(p) for p in primes[bits != want]]

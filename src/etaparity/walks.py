@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from typing import BinaryIO
 
 import numpy as np
 
 from .f2series import F2Series, mul
 from .genforms import eta_product_pnt, least_shift
-from .primes import is_prime, prime_array
+from .primes import _physical_memory, is_prime, prime_array
 
 
 def partition_parity(n: int) -> F2Series:
@@ -97,10 +96,6 @@ def _walk_bytes(kind: str, n: int) -> int:
     the per-step arrays plus one byte per partition parity."""
     parities = n + 1 if kind == "all" else _nth_prime_bound(n)
     return _WALK_BYTES_PER_STEP * n + parities
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaparity import cli, suites, walks
+from etaparity import cli, primes, suites, walks
 from etaparity.cli import main
 from etaparity.level9 import ABELIAN_CLASSES
 
@@ -272,6 +272,25 @@ def test_failed_density_run_keeps_existing_out(tmp_path):
     assert exit_code(["density", "--r", "9", "--prime-bound", "2000",
                       "--format", "csv", "--out", str(out)]) == 0
     assert out.read_text().startswith("r,") and list(tmp_path.iterdir()) == [out]
+
+
+def test_sieve_past_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    out.write_text("earlier table\n")
+    monkeypatch.setattr(primes, "_primes", primes.sieve(0))
+    monkeypatch.setattr(primes, "_bound", 0)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 1000)
+
+    def no_flags(*args, **kwargs):
+        raise AssertionError("sieve flags allocated")
+
+    monkeypatch.setattr(primes.np, "ones", no_flags)
+    assert exit_code(["density", "--r", "9", "--prime-bound", "20000",
+                      "--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "physical memory" in err
+    assert out.read_text() == "earlier table\n" and list(tmp_path.iterdir()) == [out]
+    assert primes._bound == 0
 
 
 def test_density_out_follows_symlinks_and_writes_pipes(tmp_path):

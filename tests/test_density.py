@@ -1,6 +1,7 @@
 """Prime scans, the shift index, both empirical routes, and exact values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from etaparity.density import (EmptyScanError, PrecisionError,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
                                 least_shift, p_r_series)
-from etaparity.level1 import DyadicRational
-from etaparity.primes import PrimeSieve, is_prime, prime_array
+from etaparity.primes import is_prime, prime_array, sieve
 
 from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
                      square_and_multiply, trial_division_primes)
@@ -22,35 +22,53 @@ from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
 BOUND = 20_000
 
 
+def cache_primes_to(monkeypatch, bound):
+    """Point prime_array's cache at a fresh sieve to bound."""
+    monkeypatch.setattr(primes_mod, "_primes", sieve(bound))
+    monkeypatch.setattr(primes_mod, "_bound", bound)
+
+
+def no_sieve(bound):
+    raise AssertionError(f"sieve asked for {bound}")
+
+
 class TestPrimeSieve:
     def test_against_trial_division(self):
-        sieve = PrimeSieve(10_000)
-        assert list(sieve.primes()) == trial_division_primes(10_000)
+        want = trial_division_primes(10_000)
+        assert sieve(10_000).tolist() == want
+        assert prime_array(0, 10_000).tolist() == want
 
     @pytest.mark.parametrize("lo, hi", [
         (2, 997), (0, 997), (-7, 3), (2, 2), (4, 4), (24, 28), (500, 499),
         (997, 2), (991, 997), (992, 997), (997, 997), (998, 997)])
-    def test_slices_against_trial_division(self, lo, hi):
+    def test_slices_against_trial_division(self, lo, hi, monkeypatch):
         # empty ranges, lo > hi, and hi == bound, where the bound 997 is prime
+        cache_primes_to(monkeypatch, 997)
         want = [p for p in trial_division_primes(997) if lo <= p <= hi]
-        assert PrimeSieve(997).primes(lo, hi).tolist() == want
+        assert prime_array(lo, hi).tolist() == want
+        assert primes_mod._bound == 997
 
     def test_slices_are_read_only(self):
-        sieve = PrimeSieve(1000)
-        ps = sieve.primes(5, 1000)
+        ps = prime_array(5, 1000)
         with pytest.raises(ValueError):
             ps[0] = 4
         with pytest.raises(ValueError):
             prime_array(5, 100)[:] += 1
-        assert sieve.primes(5, 7).tolist() == [5, 7]
+        with pytest.raises(ValueError):
+            sieve(100)[0] = 4
+        assert prime_array(5, 7).tolist() == [5, 7]
+
+    def test_regrows_to_at_least_double(self, monkeypatch):
+        cache_primes_to(monkeypatch, 100)
+        assert prime_array(5, 150)[-1] == 149 and primes_mod._bound == 200
+        assert prime_array(5, 1000)[-1] == 997 and primes_mod._bound == 1000
+        assert prime_array(5, 700)[-1] == 691 and primes_mod._bound == 1000
 
     def test_membership(self):
-        sieve = PrimeSieve(100)
-        assert sieve.is_prime(97) and not sieve.is_prime(91)
+        assert is_prime(97) and not is_prime(91)
 
     def test_residue_classes(self):
-        sieve = PrimeSieve(200)
-        ps = sieve.primes(lo=5)
+        ps = prime_array(5, 200)
         ps = ps[ps % 8 == 3]
         assert list(ps)[:4] == [3, 11, 19, 43][1:] + [59]
 
@@ -59,20 +77,12 @@ class TestPrimeSieve:
         assert [n for n in range(-5, 3001) if is_prime(n)] == sorted(want)
 
     def test_is_prime_past_the_sieve_divides_by_its_root_primes(self, monkeypatch):
-        monkeypatch.setattr(primes_mod, "_sieve", PrimeSieve(100))
+        cache_primes_to(monkeypatch, 100)
         assert is_prime(10_007) and not is_prime(10_001)
-        assert primes_mod._sieve.bound == 100
+        assert primes_mod._bound == 100
 
-    def test_large_is_prime_sieves_only_to_the_root(self, monkeypatch):
-        sieve = primes_mod.shared_sieve
-
-        def bounded(bound):
-            if bound > 10**5:
-                raise AssertionError(f"sieve asked for {bound}")
-            return sieve(bound)
-
-        monkeypatch.setattr(primes_mod, "_sieve", None)
-        monkeypatch.setattr(primes_mod, "shared_sieve", bounded)
+    def test_large_is_prime_never_sieves(self, monkeypatch):
+        monkeypatch.setattr(primes_mod, "sieve", no_sieve)
         assert not is_prime(10**8)
         assert is_prime(10**9 + 7)
         assert not is_prime(99_991 * 99_989)  # both factors near the root
@@ -80,13 +90,12 @@ class TestPrimeSieve:
         # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..31 (ψ_11)
         assert not is_prime(3_215_031_751)
         assert not is_prime(3_825_123_056_546_413_051)
-        assert primes_mod._sieve is None
 
     def test_miller_rabin_agrees_with_the_sieve_below_1e5(self, monkeypatch):
-        monkeypatch.setattr(primes_mod, "_sieve", None)
-        sieve = PrimeSieve(10**5)
-        assert all(is_prime(n) == sieve.is_prime(n) for n in range(10**5 + 1))
-        assert primes_mod._sieve is None
+        flags = np.zeros(10**5 + 1, dtype=bool)
+        flags[sieve(10**5)] = True
+        monkeypatch.setattr(primes_mod, "sieve", no_sieve)
+        assert all(is_prime(n) == flags[n] for n in range(10**5 + 1))
 
     def test_is_prime_is_bounded_by_2_64(self):
         with pytest.raises(ValueError):
@@ -126,7 +135,7 @@ class TestCoefficientDensity:
         f = square_and_multiply(delta_series(BOUND + 1), 3, BOUND + 1)
         est = odd_coeff_density(f, BOUND)
         assert abs(est.value - 0.25) < 0.02
-        assert est.nearest_dyadic == DyadicRational(1, 2)
+        assert est.nearest_dyadic == Fraction(1, 4)
 
     def test_delta_vanishes(self):
         est = odd_coeff_density(delta_series(BOUND + 1), BOUND)
@@ -258,7 +267,7 @@ class TestExactValues:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64,
                                    96, 128, 160, 144])
     def test_zero_classification(self, r):
-        assert eta_density_exact(r) == DyadicRational(0, 0)
+        assert eta_density_exact(r) == 0
 
     @pytest.mark.parametrize("r,num,log", [
         (9, 1, 2), (15, 1, 2), (18, 1, 2), (27, 3, 3), (30, 1, 2),
@@ -268,7 +277,7 @@ class TestExactValues:
         (84, 1, 3), (21, 5, 3), (42, 3, 3), (114, 1, 2), (104, 1, 3),
     ])
     def test_known_values(self, r, num, log):
-        assert eta_density_exact(r) == DyadicRational(num, log)
+        assert eta_density_exact(r) == Fraction(num, 1 << log)
 
     @pytest.mark.parametrize("r", [11, 17, 45, 105, 131])
     def test_unknown_values(self, r):

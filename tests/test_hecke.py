@@ -95,17 +95,12 @@ class TestT:
         assert t_op(delta_series(100), 7).valid_len == 14
 
     def test_huge_index_rejected_before_sieving(self, monkeypatch):
-        f = delta_series(100)
-        sieve = primes.shared_sieve
+        def no_sieve(bound):
+            raise AssertionError(f"sieve asked for {bound}")
 
-        def bounded(bound):
-            if bound > f.valid_len:
-                raise AssertionError(f"sieve asked for {bound} past the series")
-            return sieve(bound)
-
-        monkeypatch.setattr(primes, "shared_sieve", bounded)
+        monkeypatch.setattr(primes, "sieve", no_sieve)
         with pytest.raises(ValueError, match="too short"):
-            t_op(f, 10**9 + 7)
+            t_op(delta_series(100), 10**9 + 7)
 
 
 class TestGradingAndDuality:

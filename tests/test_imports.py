@@ -1,4 +1,5 @@
-"""Import layering: every module imports on its own, and `primes` is a leaf."""
+"""Import layering: every module imports on its own, `primes` is a leaf, and
+`density` loads no form-algebra module."""
 
 import os
 import pkgutil
@@ -37,6 +38,15 @@ def test_primes_imports_no_package_module():
         "spec.loader.exec_module(mod)\n"
         "assert mod.is_prime(97) and not mod.is_prime(91)\n"
         "assert not [m for m in sys.modules if m.startswith('etaparity')]\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_density_loads_no_form_algebra_module():
+    done = run_python(
+        "import sys\n"
+        "import etaparity.density\n"
+        "loaded = {'etaparity.level1', 'etaparity.hecke', 'etaparity.cheby'}\n"
+        "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n")
     assert done.returncode == 0, done.stderr
 
 

@@ -1,11 +1,14 @@
 """Generator-polynomial representation, Hecke action, codes, dihedral densities."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from etaparity.density import DensityEstimate
 from etaparity.f2series import F2Series
 from etaparity.genforms import c_series, delta_series
-from etaparity.level1 import (DyadicRational, GenPoly, clmul,
+from etaparity.level1 import (GenPoly, clmul,
                               code_matrix, dihedral_density, genpoly_pow,
                               genpoly_series, hecke_on_genpoly,
                               is_dihedral_window, to_genpoly)
@@ -142,25 +145,34 @@ class TestCodeMatrix:
 
 
 class TestDyadicRational:
+    """Dyadic densities are Fractions; an estimate's nearest_dyadic is the
+    closest a/64."""
+
     def test_lowest_terms(self):
-        d = DyadicRational(4, 5)
-        assert (d.numerator, d.log_denominator) == (1, 3)
-        assert DyadicRational(0, 7).log_denominator == 0
+        d = Fraction(4, 32)
+        assert (d.numerator, d.denominator) == (1, 8)
+        assert Fraction(0, 128).denominator == 1
 
     def test_nearest(self):
-        assert DyadicRational.nearest(0.2495) == DyadicRational(1, 2)
-        assert DyadicRational.nearest(0.2) == DyadicRational(13, 6)
-        assert str(DyadicRational(5, 3)) == "5/8"
+        def nearest(hits, samples):
+            return DensityEstimate.from_counts(hits, samples).nearest_dyadic
+
+        assert nearest(499, 2000) == Fraction(1, 4)  # 0.2495
+        assert nearest(1, 5) == Fraction(13, 64)  # 0.2
+        assert str(Fraction(5, 8)) == "5/8"
+        # clamped to [0, 1]
+        assert nearest(0, 7) == 0 and str(nearest(0, 7)) == "0"
+        assert nearest(7, 7) == 1 and str(nearest(7, 7)) == "1"
 
     def test_value(self):
-        assert DyadicRational(3, 4).value == 3 / 16
+        assert float(Fraction(3, 16)) == 3 / 16
 
 
 class TestDihedralDensity:
     @pytest.mark.parametrize("a,num,log", [(1, 1, 2), (3, 1, 3), (0, 0, 0),
                                            (2, 1, 3), (7, 1, 4), (8, 1, 5)])
     def test_values(self, a, num, log):
-        assert dihedral_density(a) == DyadicRational(num, log)
+        assert dihedral_density(a) == Fraction(num, 1 << log)
 
     def test_empirical_cross_check(self):
         # delta^3 = m(1,0) and delta^11 = m(3,0) at a modest prime bound
@@ -169,4 +181,4 @@ class TestDihedralDensity:
         for exponent, a in ((3, 1), (11, 3)):
             series = genpoly_series(GenPoly(1, frozenset({exponent})), bound + 1)
             est = odd_coeff_density(series, bound)
-            assert abs(est.value - dihedral_density(a).value) < 0.03
+            assert abs(est.value - float(dihedral_density(a))) < 0.03

@@ -5,7 +5,7 @@ import pytest
 
 from etaparity.hecke import u_op
 from etaparity.level1 import GenPoly, genpoly_pow, genpoly_series, hecke_on_genpoly
-from etaparity.level9 import (abelian_form, k9_basis_element,
+from etaparity.level9 import (_THETA_TABLE, abelian_form, k9_basis_element,
                               u2_fn_expected, u3_fn_expected,
                               verify_abelian_law, verify_u2_u3_kernel)
 
@@ -80,16 +80,14 @@ class TestKernels:
 
 class TestAbelianForms:
     def test_alpha11(self):
-        spec = abelian_form(11)
-        assert spec.f_exponents == frozenset({11, 14, 17, 20})
-        assert spec.theta.a == 3 and spec.theta.b == 8
+        assert abelian_form(11).exponents == frozenset({11, 14, 17, 20})
+        assert _THETA_TABLE[11].a == 3 and _THETA_TABLE[11].b == 8
 
     def test_alpha5_is_c_fifth(self):
-        spec = abelian_form(5)
-        assert spec.genpoly() == genpoly_pow(GenPoly(9, frozenset({1, 4})), 5)
+        assert abelian_form(5) == genpoly_pow(GenPoly(9, frozenset({1, 4})), 5)
 
     def test_alpha17(self):
-        assert abelian_form(17).f_exponents == frozenset({17, 20})
+        assert abelian_form(17).exponents == frozenset({17, 20})
 
     def test_rejects_other_classes(self):
         for i in (1, 3, 23, 12):
@@ -98,13 +96,12 @@ class TestAbelianForms:
 
     @pytest.mark.parametrize("i", [7, 13])
     def test_prime_coefficient_law(self, i):
-        assert verify_abelian_law(abelian_form(i), 10_000) == []
+        assert verify_abelian_law(i, 10_000) == []
 
     def test_law_catches_tampering(self):
         # the law must really constrain: a wrong class has many violations
         from etaparity.primes import prime_array
-        spec = abelian_form(5)
-        series = genpoly_series(spec.genpoly(), 2001)
+        series = genpoly_series(abelian_form(5), 2001)
         primes = prime_array(5, 2000)
         bits = series.coeffs_at(primes)
         wrong = (primes % 24 == 7).astype(np.uint8)
