@@ -85,8 +85,7 @@ def cmd_expand(args) -> int:
 
 
 def _density_rows(r: int, prime_bound: int):
-    direct = density.eta_density_direct(r, prime_bound)
-    formula = density.eta_density_formula(r, prime_bound)
+    direct, formula = density.eta_density(r, prime_bound)
     exact = density.eta_density_exact(r)
     routes_ok = abs(direct.value - formula.value) <= ROUTE_AGREE_TOLERANCE
     exact_ok = exact is None or abs(direct.value - float(exact)) <= direct.tolerance

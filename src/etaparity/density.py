@@ -1,7 +1,7 @@
 """Density experiments: prime scans, coefficient densities, and eta-power parity.
 
-Two empirical routes to the eta-power parity density, one exact route
-where a closed form is proven.  For a prime ell let u be
+One read of P_r per scan gives two empirical rows; an exact route covers
+the r where a closed form is proven.  For a prime ell let u be
 ``least_shift(ell, m_r, b_r)``, the least u >= 1 with u*ell ≡ b_r (mod m_r):
 
 * direct: for each prime ell, the bit of P_r at exponent ell * mu, the
@@ -10,19 +10,20 @@ where a closed form is proven.  For a prime ell let u be
 * formula: the sum over the unit shifts u' mod m_r of the coefficient
   densities of the Hecke shifts T_u' P_r (U_2 for u' = 2), each read at
   u' * ell.  P_r is supported on b_r mod s and m_r | s, so at each ell
-  every shift but u reads a zero bit, and the sum is one read at u * ell.
-  It differs from direct only where the window lifts mu above u, that is
-  where u * ell < b_r, and there it reads below P_r's first term;
+  every shift but u reads a zero bit, and the sum is the bit at u * ell.
+  The window leaves mu = u exactly where u * ell >= b_r, and there that
+  bit is the direct one; elsewhere u * ell is below P_r's first term and
+  the bit is zero.  So the formula row counts the direct bits where
+  mu = u, and is not an independent check of P_r;
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
   the two dihedral families, and the handful of abelian eta powers, each
   a dyadic ``fractions.Fraction``, so exact values add exactly.
 
-Both empirical routes read P_r = g^(b_r) = q^(b_r) * h^(b_r)(q^s) (see
-``genforms``) at q-exponents E through one helper: the bit is that of
-h^(b_r) at (E - b_r)/s when E >= b_r and E ≡ b_r (mod s), and zero
-otherwise.  Every E either route reads is below b_r + m_r * prime_bound + 1,
-so both ask the generator-power cache for the same m_r * prime_bound // s + 1
-coefficients of h^(b_r), and the second route is served from the cache.
+The read takes P_r = g^(b_r) = q^(b_r) * h^(b_r)(q^s) (see ``genforms``)
+at E = ell * mu: the bit is that of h^(b_r) at (E - b_r)/s when
+E ≡ b_r (mod s), and zero otherwise (the window puts E >= b_r).  Every E
+is below b_r + m_r * prime_bound + 1, so the scan asks the generator-power
+cache for m_r * prime_bound // s + 1 coefficients of h^(b_r).
 
 The module reads series through ``genforms`` and primes through
 ``primes`` alone; it loads none of the form-algebra modules ``level1``,
@@ -109,36 +110,22 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
     return DensityEstimate.from_counts(hits, len(primes))
 
 
-def _p_r_bits(r: int, exps: np.ndarray, prime_bound: int) -> np.ndarray:
-    """Bits of P_r at the q-exponents exps, each below b_r + m_r*prime_bound + 1."""
+def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstimate]:
+    """(direct, formula) parity densities of P_r from one read: the bit of
+    P_r at ell*mu for each prime ell, counted at every ell (direct) and
+    where mu = u (formula; see the module docstring)."""
     params = EtaPowerParams.for_power(r)
-    b, s = params.b_r, GENERATORS[params.generator][1]
-    series = generator_power(params.generator, b, params.m_r * prime_bound // s + 1)
-    on = (exps >= b) & ((exps - b) % s == 0)
-    bits = np.zeros(len(exps), dtype=np.uint8)
-    bits[on] = series.coeffs_at((exps[on] - b) // s)
-    return bits
-
-
-def eta_density_direct(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density read straight off the eta power: the bit of P_r
-    at exponent ell*mu for each prime ell."""
-    params = EtaPowerParams.for_power(r)
+    m, b, s = params.m_r, params.b_r, GENERATORS[params.generator][1]
     primes = _scan_primes(prime_bound)
-    nu = primes * _mu_array(primes, params.m_r, params.b_r)
-    hits = int(_p_r_bits(r, nu, prime_bound).sum())
-    return DensityEstimate.from_counts(hits, len(primes))
-
-
-def eta_density_formula(r: int, prime_bound: int) -> DensityEstimate:
-    """The parity density summed over the Hecke shifts of P_r: for each
-    prime ell, a_{u*ell}(P_r) for the one shift u that meets the support
-    (see the module docstring)."""
-    params = EtaPowerParams.for_power(r)
-    primes = _scan_primes(prime_bound)
-    u = least_shift(primes, params.m_r, params.b_r)
-    hits = int(_p_r_bits(r, u * primes, prime_bound).sum())
-    return DensityEstimate.from_counts(hits, len(primes))
+    series = generator_power(params.generator, b, m * prime_bound // s + 1)
+    mu = _mu_array(primes, m, b)
+    above = primes * mu - b  # ell*mu - b_r, which the window keeps >= 0
+    on = above % s == 0
+    bits = np.zeros(len(primes), dtype=np.uint8)
+    bits[on] = series.coeffs_at(above[on] // s)
+    at_u = mu == least_shift(primes, m, b)
+    return (DensityEstimate.from_counts(int(bits.sum()), len(primes)),
+            DensityEstimate.from_counts(int(bits[at_u].sum()), len(primes)))
 
 
 def zn(n: int) -> int:
@@ -232,7 +219,7 @@ def verify_bounds(r_max: int, prime_bound: int) -> list[BoundCheck]:
     """
     rows = []
     for r in range(1, r_max + 1):
-        est = eta_density_direct(r, prime_bound)
+        est, _ = eta_density(r, prime_bound)
         margin = 3.0 * est.sigma
         limit = 0.25 if r % 4 == 0 else 0.5 if r % 2 == 0 else 1.0
         if r in BOUND_EXCEPTIONS:

@@ -197,12 +197,6 @@ def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> np.ndarray:
     return entries
 
 
-def is_dihedral_window(c: np.ndarray) -> bool:
-    """True when the code window is supported on the two axes (advisory, not
-    a proof)."""
-    return not c[1:, 1:].any()
-
-
 def dihedral_density(a: int) -> Fraction:
     """Density of odd prime coefficients for the axis basis forms m(a,0), m(0,a).
 

@@ -46,6 +46,8 @@ _F_EXPONENTS: dict[int, frozenset[int]] = {
 }
 
 ABELIAN_CLASSES = (5, 7, 11, 13, 17, 19)
+# coefficients on which abelian_form compares polynomial and theta
+ABELIAN_CHECK_COEFFS = 10_000
 
 
 def k9_basis_element(n: int) -> GenPoly:
@@ -91,15 +93,15 @@ def verify_u2_u3_kernel(n_max: int, n_coeffs: int) -> list[str]:
     return violations
 
 
-def abelian_form(i: int, n_check: int = 10_000) -> GenPoly:
+def abelian_form(i: int) -> GenPoly:
     """alpha_i as an F-polynomial, built both ways: the polynomial and its
-    theta enumeration are compared on the first n_check coefficients
-    before it is returned."""
+    theta enumeration are compared on the first ABELIAN_CHECK_COEFFS
+    coefficients before it is returned."""
     if i not in ABELIAN_CLASSES:
         raise ValueError(f"abelian class must be one of {ABELIAN_CLASSES}")
     form = GenPoly(9, _F_EXPONENTS[i])
-    series = genpoly_series(form, n_check)
-    if series != congruence_theta(_THETA_TABLE[i], n_check):
+    series = genpoly_series(form, ABELIAN_CHECK_COEFFS)
+    if series != congruence_theta(_THETA_TABLE[i], ABELIAN_CHECK_COEFFS):
         raise AssertionError(f"alpha_{i}: polynomial and theta expansions disagree")
     return form
 

@@ -21,9 +21,14 @@ from .genforms import (c_series, delta_series, eta_product_pnt, f_series,
                        triangular_theta)
 from .hecke import t_op
 from .level1 import (GenPoly, code_matrix, dihedral_density, genpoly_pow,
-                     genpoly_series, hecke_on_genpoly, is_dihedral_window)
+                     genpoly_series, hecke_on_genpoly)
 
 IDENTITY_PRECISION = 1_000_000
+HECKE_GRADING_PRECISION = 30_000
+COMBINATORIAL_A_MAX = 256
+KERNEL_N_MAX = 25
+KERNEL_COEFFS = 30_000
+BOUNDS_R_MAX = 48
 PRIME_BOUND = 100_000
 # The smallest prime bound accepted for every suite that takes one.  The
 # statistical checks need enough primes: at 5000 the zero-class tail D(1)
@@ -62,9 +67,10 @@ class SuiteResult:
         }
 
 
-def suite_identities(n: int = IDENTITY_PRECISION) -> SuiteResult:
+def suite_identities() -> SuiteResult:
     """Bitwise generator identities at full precision."""
     res = SuiteResult("identities")
+    n = IDENTITY_PRECISION
     delta = delta_series(n)
     c = c_series(n)
     f = f_series(n)
@@ -90,9 +96,10 @@ def suite_identities(n: int = IDENTITY_PRECISION) -> SuiteResult:
     return res
 
 
-def suite_hecke_grading(n: int = 30_000) -> SuiteResult:
+def suite_hecke_grading() -> SuiteResult:
     """T_ell moves graded pieces by multiplication on the index, both levels."""
     res = SuiteResult("hecke-grading")
+    n = HECKE_GRADING_PRECISION
     for i in (1, 3, 5, 7):
         form = genpoly_series(GenPoly(1, frozenset({i, i + 8})), n)
         for ell in (3, 5, 7):
@@ -116,16 +123,16 @@ def suite_hecke_grading(n: int = 30_000) -> SuiteResult:
     return res
 
 
-def suite_combinatorial(a_max: int = 256) -> SuiteResult:
+def suite_combinatorial() -> SuiteResult:
     """Brute-force hitting-class counts against the digit-statistics closed form."""
     res = SuiteResult("combinatorial")
     bad = []
-    for a in range(1, a_max + 1):
+    for a in range(1, COMBINATORIAL_A_MAX + 1):
         count, _, _ = combinatorial_count(a)
         st = digit_stats(a)
         if count != 1 << (st.z - st.v + 1):
             bad.append(a)
-    res.add(f"residue-class count = 2^(z-v+1) for a <= {a_max}",
+    res.add(f"residue-class count = 2^(z-v+1) for a <= {COMBINATORIAL_A_MAX}",
             not bad, detail=f"failures: {bad}" if bad else "")
     return res
 
@@ -142,18 +149,18 @@ def suite_dihedral_code(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     for n in range(1, 5):
         cm = code_matrix(GenPoly(1, frozenset({zn(n)})), 2**n + 1, 3)
         res.add(f"code(delta^{zn(n)}) = indicator({2**n - 1},0)",
-                _indicator_matrix_ok(cm, 2**n - 1, 0) and is_dihedral_window(cm))
+                _indicator_matrix_ok(cm, 2**n - 1, 0))
     for n in range(1, 4):
         cm = code_matrix(GenPoly(1, frozenset({3 * zn(n)})), 2**n + 2, 3)
         res.add(f"code(delta^{3 * zn(n)}) = indicator({2**n},0)",
-                _indicator_matrix_ok(cm, 2**n, 0) and is_dihedral_window(cm))
+                _indicator_matrix_ok(cm, 2**n, 0))
     for n in range(1, 4):
         cm = code_matrix(GenPoly(1, frozenset({wn(n)})), 3, 2**(n - 1) + 2)
         res.add(f"code(delta^{wn(n)}) = indicator(0,{2**(n - 1)})",
-                _indicator_matrix_ok(cm, 0, 2**(n - 1)) and is_dihedral_window(cm))
+                _indicator_matrix_ok(cm, 0, 2**(n - 1)))
     cm7 = code_matrix(GenPoly(1, frozenset({7})), 4, 4)
     res.add("code(delta^7) is the abelian pattern, not axis-supported",
-            _indicator_matrix_ok(cm7, 1, 1) and not is_dihedral_window(cm7))
+            _indicator_matrix_ok(cm7, 1, 1))
     # density law against prime scans of the dihedral powers:
     # delta^(z_n) = m(2^n - 1, 0), delta^(3 z_n) = m(2^n, 0),
     # delta^(w_n) = m(0, 2^(n-1)), for n <= 3
@@ -168,11 +175,10 @@ def suite_dihedral_code(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     return res
 
 
-def suite_level9(n_max: int = 25, kernel_coeffs: int = 30_000,
-                 prime_bound: int = PRIME_BOUND) -> SuiteResult:
+def suite_level9(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     res = SuiteResult("level9")
-    violations = level9.verify_u2_u3_kernel(n_max, kernel_coeffs)
-    res.add(f"U_2, U_3 kill the K(9) basis to n <= {n_max}",
+    violations = level9.verify_u2_u3_kernel(KERNEL_N_MAX, KERNEL_COEFFS)
+    res.add(f"U_2, U_3 kill the K(9) basis to n <= {KERNEL_N_MAX}",
             not violations, detail="; ".join(violations))
     for i in level9.ABELIAN_CLASSES:
         form = level9.abelian_form(i)  # raises if theta and polynomial disagree
@@ -196,11 +202,11 @@ def suite_level9(n_max: int = 25, kernel_coeffs: int = 30_000,
     return res
 
 
-def suite_bounds(r_max: int = 48, prime_bound: int = PRIME_BOUND) -> SuiteResult:
+def suite_bounds(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     res = SuiteResult("bounds")
-    rows = density.verify_bounds(r_max, prime_bound)
+    rows = density.verify_bounds(BOUNDS_R_MAX, prime_bound)
     bad = [row for row in rows if not row.ok]
-    res.add(f"density respects the 1, 1/2, 1/4 bounds for r <= {r_max}",
+    res.add(f"density respects the 1, 1/2, 1/4 bounds for r <= {BOUNDS_R_MAX}",
             not bad,
             detail="; ".join(f"r={b.r} value={b.value:.4f} limit={b.limit}"
                              for b in bad))
@@ -211,8 +217,8 @@ def suite_thmB(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     """Vanishing classification: zero classes die, everything else is bounded away."""
     res = SuiteResult("thmB")
     for r in THM_B_ZERO_SET:
-        low = density.eta_density_direct(r, prime_bound)
-        high = density.eta_density_direct(r, 2 * prime_bound)
+        low, _ = density.eta_density(r, prime_bound)
+        high, _ = density.eta_density(r, 2 * prime_bound)
         res.add(f"D({r}) tail: proportion < 0.01",
                 low.value < 0.01, detail=f"{low.value:.5f}")
         res.add(f"D({r}) tail: non-increasing as the bound doubles",
@@ -221,7 +227,7 @@ def suite_thmB(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     for r in range(1, 65):
         if r in THM_B_ZERO_SET:
             continue
-        est = density.eta_density_direct(r, prime_bound)
+        est, _ = density.eta_density(r, prime_bound)
         res.add(f"D({r}) > 0.05 (not a zero class)", est.value > 0.05,
                 detail=f"{est.value:.4f}")
     return res
@@ -253,7 +259,7 @@ def suite_thmD(prime_bound: int = PRIME_BOUND) -> SuiteResult:
         res.add(f"exact D({r}) = {expected}",
                 exact is not None and float(exact) == expected,
                 detail=f"exact={exact}")
-        est = density.eta_density_direct(r, prime_bound)
+        est, _ = density.eta_density(r, prime_bound)
         res.add(f"empirical D({r}) matches",
                 abs(est.value - expected) <= est.tolerance,
                 detail=f"value={est.value:.4f}")
@@ -270,14 +276,14 @@ def suite_abelian(prime_bound: int = PRIME_BOUND) -> SuiteResult:
         exact = density.eta_density_exact(r)
         res.add(f"exact D({r}) = 1/8",
                 exact is not None and float(exact) == 0.125)
-        est = density.eta_density_direct(r, prime_bound)
+        est, _ = density.eta_density(r, prime_bound)
         res.add(f"empirical D({r}) matches",
                 abs(est.value - 0.125) <= est.tolerance,
                 detail=f"value={est.value:.4f}")
     for r in ABELIAN_MULTIPLES:
         exact = density.eta_density_exact(r)
         res.add(f"exact D({r}) known", exact is not None, detail=str(exact))
-        est = density.eta_density_direct(r, prime_bound)
+        est, _ = density.eta_density(r, prime_bound)
         res.add(f"empirical D({r}) matches exact",
                 exact is not None and abs(est.value - float(exact)) <= est.tolerance,
                 detail=f"value={est.value:.4f} exact={exact}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .f2series import F2Series, mul
 from .genforms import eta_product_pnt, least_shift
-from .primes import _physical_memory, is_prime, prime_array
+from .primes import _physical_memory, prime_array
 
 
 def partition_parity(n: int) -> F2Series:
@@ -50,18 +50,11 @@ def partition_parity(n: int) -> F2Series:
     return g
 
 
-def _inverse_24(ell):
-    """The least positive 24^-1 mod ell for ell prime to 6, int or int64
-    array (exact below about 4e17): u*ell + 1 is a multiple of 24 for
+def delta_ell(ell):
+    """The least positive 24^-1 mod ell for ell prime to 6, an int or an
+    int64 array (exact below about 4e17): u*ell + 1 is a multiple of 24 for
     u = least_shift(ell, 24, -1), and u < 24."""
     return (ell * least_shift(ell, 24, -1) + 1) // 24
-
-
-def delta_ell(ell: int) -> int:
-    """The least positive 24^-1 mod ell, for primes ell >= 5."""
-    if ell in (2, 3) or not is_prime(ell):
-        raise ValueError("defined for primes >= 5 only")
-    return _inverse_24(ell)
 
 
 def _nth_prime_bound(count: int) -> int:
@@ -71,15 +64,12 @@ def _nth_prime_bound(count: int) -> int:
 
 
 def first_primes_ge5(count: int) -> np.ndarray:
-    """The first `count` primes starting from 5."""
+    """The first `count` primes starting from 5, one slice of the primes
+    below _nth_prime_bound(count): Rosser's p_k < k(ln k + ln ln k) holds
+    for k >= 6, and the floor of 30 covers the first three."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    guess = _nth_prime_bound(count)
-    while True:
-        primes = prime_array(5, guess)
-        if len(primes) >= count:
-            return primes[:count]
-        guess *= 2
+    return prime_array(5, _nth_prime_bound(count))[:count]
 
 
 WALK_COLUMNS = ("n", "step", "sum", "sqrt_band", "two_sqrt_band")
@@ -115,7 +105,7 @@ def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         par = partition_parity(n + 1).bits()[1:n + 1]
     else:
         primes = first_primes_ge5(n)
-        deltas = _inverse_24(primes)
+        deltas = delta_ell(primes)
         par = partition_parity(int(deltas.max()) + 1).coeffs_at(deltas)
     steps = 1 - 2 * par.astype(np.int64)
     return steps, np.cumsum(steps)

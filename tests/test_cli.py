@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaparity import cli, primes, suites, walks
+from etaparity import cli, density, primes, suites, walks
 from etaparity.cli import main
+from etaparity.f2series import F2Series
 from etaparity.level9 import ABELIAN_CLASSES
 
 
@@ -137,6 +138,26 @@ class TestDensity:
     def test_bad_r(self):
         code, _ = run_cli("density", "--r", "0", "--prime-bound", "1000")
         assert code == 2
+
+    def test_one_read_of_p_r_per_r(self, monkeypatch):
+        # both rows of an r come from one lookup of h^(b_r) and one scan
+        calls = {"power": 0, "scan": 0}
+        power, scan = density.generator_power, F2Series.coeffs_at
+
+        def counted_power(*args):
+            calls["power"] += 1
+            return power(*args)
+
+        def counted_scan(self, idx):
+            calls["scan"] += 1
+            return scan(self, idx)
+
+        monkeypatch.setattr(density, "generator_power", counted_power)
+        monkeypatch.setattr(F2Series, "coeffs_at", counted_scan)
+        code, out = run_cli("density", "--r", "1..12", "--prime-bound", "5000",
+                            "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 12
+        assert calls == {"power": 12, "scan": 12}
 
 
 class TestVerify:

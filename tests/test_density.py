@@ -8,8 +8,7 @@ import pytest
 
 from etaparity import primes as primes_mod
 from etaparity.density import (EmptyScanError, PrecisionError,
-                               _mu_array, eta_density_direct, eta_density_exact,
-                               eta_density_formula,
+                               _mu_array, eta_density, eta_density_exact,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
@@ -187,24 +186,23 @@ def test_shift_table_spans_least_shifts(m):
 
 class TestEtaDensityRoutes:
     def test_direct_r9(self):
-        est = eta_density_direct(9, BOUND)
+        est, _ = eta_density(9, BOUND)
         assert abs(est.value - 0.25) < 0.02
 
     def test_formula_r18(self):
-        est = eta_density_formula(18, BOUND)
+        _, est = eta_density(18, BOUND)
         assert abs(est.value - 0.25) < 0.02
 
     def test_r24s_route_collapses_to_plain_density(self):
         # m_r = 1: the decomposition is the identity alone
         series = p_r_series(72, 72 // 24 + BOUND + 1)
         direct = odd_coeff_density(series, BOUND)
-        formula = eta_density_formula(72, BOUND)
+        _, formula = eta_density(72, BOUND)
         assert formula.hits == direct.hits
 
     def test_routes_agree_small_r(self):
         for r in range(1, 21):
-            d = eta_density_direct(r, BOUND)
-            f = eta_density_formula(r, BOUND)
+            d, f = eta_density(r, BOUND)
             assert abs(d.value - f.value) <= 0.02, r
 
     def test_hits_match_q_domain_reads_all_r_to_132(self):
@@ -212,8 +210,7 @@ class TestEtaDensityRoutes:
         primes = [p for p in trial_division_primes(bound) if p >= 5]
         for r in range(1, 133):
             want = q_domain_route_hits(r, primes, bound)
-            got = (eta_density_direct(r, bound).hits,
-                   eta_density_formula(r, bound).hits)
+            got = tuple(est.hits for est in eta_density(r, bound))
             assert got == want, r
 
     def test_routes_read_the_same_bit_wherever_u_ell_reaches_b_r(self):
@@ -231,15 +228,16 @@ class TestEtaDensityRoutes:
             reach = u * primes >= p.b_r
             assert np.array_equal(direct[reach], formula[reach]), r
             assert not formula[~reach].any(), r
-            assert eta_density_direct(r, bound).hits == int(direct.sum()), r
-            assert eta_density_formula(r, bound).hits == int(formula.sum()), r
+            got = eta_density(r, bound)
+            assert got[0].hits == int(direct.sum()), r
+            assert got[1].hits == int(formula.sum()), r
 
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):
             with pytest.raises(EmptyScanError):
-                eta_density_direct(1, bound)
+                eta_density(1, bound)
             with pytest.raises(EmptyScanError):
-                eta_density_formula(18, bound)
+                eta_density(18, bound)
         with pytest.raises(EmptyScanError):
             odd_coeff_density(delta_series(100), 4)
 
@@ -296,7 +294,7 @@ class TestBoundsAndReport:
         assert limits[3] == 1.0 and limits[6] == 0.5 and limits[8] == 0.25
 
     def test_report_row_schema(self):
-        est = eta_density_direct(9, BOUND)
+        est, _ = eta_density(9, BOUND)
         row = density_report_row(9, BOUND, "direct", est)
         assert tuple(row) == REPORT_COLUMNS
         assert row["exact"] == "1/4" and row["m_r"] == 8

@@ -10,8 +10,7 @@ from etaparity.f2series import F2Series
 from etaparity.genforms import c_series, delta_series
 from etaparity.level1 import (GenPoly, clmul,
                               code_matrix, dihedral_density, genpoly_pow,
-                              genpoly_series, hecke_on_genpoly,
-                              is_dihedral_window, to_genpoly)
+                              genpoly_series, hecke_on_genpoly, to_genpoly)
 
 
 class TestGenPoly:
@@ -115,7 +114,6 @@ class TestCodeMatrix:
     def test_delta_seventh_abelian_pattern(self):
         cm = code_matrix(GenPoly(1, frozenset({7})), 4, 4)
         assert cm[1, 1] == 1 and cm.sum() == 1
-        assert not is_dihedral_window(cm)
 
     def test_rejects_even_exponents(self):
         with pytest.raises(ValueError):
@@ -134,14 +132,6 @@ class TestCodeMatrix:
         shifted = code_matrix(hecke_on_genpoly(f, 5), 4, 4)
         whole = code_matrix(f, 4, 5)
         assert np.array_equal(shifted, whole[:, 1:])
-
-    def test_dihedral_window_flags(self):
-        assert is_dihedral_window(np.zeros((3, 3), dtype=np.uint8))
-        axes = np.zeros((3, 3), dtype=np.uint8)
-        axes[2, 0] = axes[0, 1] = 1
-        assert is_dihedral_window(axes)
-        axes[1, 2] = 1
-        assert not is_dihedral_window(axes)
 
 
 class TestDyadicRational:

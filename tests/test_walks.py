@@ -70,11 +70,7 @@ class TestDeltaEll:
         ells = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
         want = (4, 5, 6, 6, 5, 4, 1, 23, 22, 17, 12, 9)
         assert tuple(delta_ell(l) for l in ells) == want
-
-    def test_rejects_small_primes(self):
-        for ell in (2, 3, 15):
-            with pytest.raises(ValueError):
-                delta_ell(ell)
+        assert tuple(delta_ell(np.array(ells)).tolist()) == want
 
     @pytest.mark.parametrize("ell", [5, 7, 11, 13, 29, 43, 101, 9973])
     def test_window_route_agrees(self, ell):
@@ -85,7 +81,7 @@ class TestDeltaEll:
         assert ells[-1] == 99_991 and ells[-1] == max(trial_division_primes(10**5))
         want = [pow(24, -1, int(ell)) for ell in ells]
         assert [delta_ell(int(ell)) for ell in ells] == want
-        assert walks._inverse_24(ells).tolist() == want
+        assert delta_ell(ells).tolist() == want
 
     def test_large_prime_in_milliseconds(self):
         ell = 2**61 - 1
@@ -120,6 +116,13 @@ class TestWalks:
 
     def test_first_primes(self):
         assert list(first_primes_ge5(5)) == [5, 7, 11, 13, 17]
+
+    def test_first_primes_every_count_to_2000(self):
+        # one slice below _nth_prime_bound(count) holds all of them
+        want = [p for p in trial_division_primes(20_000) if p >= 5][:2000]
+        assert len(want) == 2000
+        for count in range(1, 2001):
+            assert first_primes_ge5(count).tolist() == want[:count], count
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "walk.csv"
