@@ -14,7 +14,12 @@ import json
 import os
 import sys
 
-from . import density, suites, walks
+# The package makes no BLAS call, so numpy (first loaded by the imports
+# below) gets a one-thread OpenBLAS instead of a worker that spins idle
+# beside every run.  A value set by the user is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import density, primes, suites, walks
 from .density import PrecisionError
 from .genforms import eta_product_pnt, f_series, p_r_series
 from .level1 import genpoly_series
@@ -74,6 +79,12 @@ def _expand_series(form: str, n: int):
 
 
 def cmd_expand(args) -> int:
+    # a lower estimate: the packed q-domain series alone, one bit a coefficient
+    need, have = args.coeffs // 8, primes._physical_memory()
+    if need > have:
+        raise MemoryError(f"expanding {args.coeffs} coefficients needs at least "
+                          f"{need >> 20} MB, more than the {have >> 20} MB of "
+                          f"physical memory")
     series = _expand_series(args.form, args.coeffs)
     support = [int(e) for e in series.support()]
     if args.format == "json":

@@ -123,9 +123,10 @@ def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstim
     on = above % s == 0
     bits = np.zeros(len(primes), dtype=np.uint8)
     bits[on] = series.coeffs_at(above[on] // s)
-    at_u = mu == least_shift(primes, m, b)
+    # mu is u in 1..m lifted by a nonnegative multiple of m, so mu = u
+    # exactly where mu <= m
     return (DensityEstimate.from_counts(int(bits.sum()), len(primes)),
-            DensityEstimate.from_counts(int(bits[at_u].sum()), len(primes)))
+            DensityEstimate.from_counts(int(bits[mu <= m].sum()), len(primes)))
 
 
 def zn(n: int) -> int:

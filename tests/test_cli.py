@@ -314,6 +314,22 @@ def test_sieve_past_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
     assert primes._bound == 0
 
 
+def test_expand_past_physical_memory_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 1000)
+    expand = cli._expand_series
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("series built")
+
+    monkeypatch.setattr(cli, "_expand_series", no_series)
+    assert exit_code(["expand", "delta", "--coeffs", str(8 * 16 * 1000 + 8)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "physical memory" in err
+    # the estimate is one byte per 8 coefficients, so the limit itself passes
+    monkeypatch.setattr(cli, "_expand_series", expand)
+    assert exit_code(["expand", "delta", "--coeffs", str(8 * 16 * 1000)]) == 0
+
+
 def test_density_out_follows_symlinks_and_writes_pipes(tmp_path):
     table, link = tmp_path / "table.csv", tmp_path / "link.csv"
     link.symlink_to(table)

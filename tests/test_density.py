@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from etaparity import density as density_mod
 from etaparity import primes as primes_mod
 from etaparity.density import (EmptyScanError, PrecisionError,
                                _mu_array, eta_density, eta_density_exact,
@@ -231,6 +232,20 @@ class TestEtaDensityRoutes:
             got = eta_density(r, bound)
             assert got[0].hits == int(direct.sum()), r
             assert got[1].hits == int(formula.sum()), r
+
+    def test_one_least_shift_per_scan(self, monkeypatch):
+        # the formula row's mu = u mask comes from mu itself, so a scan
+        # computes the least shifts once, inside _mu_array
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return least_shift(*args)
+
+        monkeypatch.setattr(density_mod, "least_shift", counted)
+        for n, r in enumerate((1, 18, 127), start=1):
+            eta_density(r, BOUND)
+            assert len(calls) == n, r
 
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):

@@ -1,5 +1,6 @@
-"""Import layering: every module imports on its own, `primes` is a leaf, and
-`density` loads no form-algebra module."""
+"""Import layering: every module imports on its own, `primes` is a leaf,
+`density` loads no form-algebra module, and only the CLI sets a one-thread
+BLAS."""
 
 import os
 import pkgutil
@@ -15,10 +16,14 @@ SRC = str(Path(etaparity.__file__).resolve().parent.parent)
 MODULES = sorted(m.name for m in pkgutil.iter_modules(etaparity.__path__))
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter.  OPENBLAS_NUM_THREADS is dropped from
+    the inherited environment (importing the CLI in this process sets it)
+    unless env gives it."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, env=dict(child, PYTHONPATH=path, **env))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -58,4 +63,34 @@ def test_walks_builds_its_lookup_tables_on_first_use():
         "one = np.ones(1, dtype=np.int64)\n"
         "assert walks._row_bytes(1, one, one) == b'1,1,1,1.000,2.000\\n'\n"
         "assert walks._lane_tables.cache_info().currsize == 1\n")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+                    reason="needs /proc/self/task and more than one CPU")
+def test_cli_import_starts_no_blas_thread():
+    done = run_python(
+        "import os\n"
+        "import etaparity.cli\n"
+        "tasks = os.listdir('/proc/self/task')\n"
+        "assert len(tasks) == 1, tasks\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_keeps_a_user_blas_thread_count():
+    done = run_python(
+        "import os\n"
+        "import etaparity.cli\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n",
+        OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["density", "walks"])
+def test_library_import_leaves_blas_threads_unset(module):
+    done = run_python(
+        "import os\n"
+        f"import etaparity.{module}\n"
+        "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n")
     assert done.returncode == 0, done.stderr
