@@ -36,7 +36,7 @@ def sieve(bound: int) -> np.ndarray:
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p::p] = False
-    primes = np.nonzero(flags)[0].astype(np.int64)
+    primes = np.flatnonzero(flags)
     primes.flags.writeable = False  # prime_array hands out views
     return primes
 

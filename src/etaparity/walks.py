@@ -6,10 +6,14 @@ g -> f*g(q^2) doubles the trusted length per step, because squaring is
 exponent dilation in characteristic 2.  Each step splits f on exponent
 parity, f = A(q^2) + q*B(q^2), so the even coefficients of f*g(q^2) are
 A*g and the odd ones B*g: two sparse products of half the output length
-on the undilated g, interleaved.  The classical pentagonal XOR recurrence
-holds coefficientwise and is asserted in the tests rather than used as the
+on the undilated g, interleaved packed, each byte spread through a
+256-entry table.  The classical pentagonal XOR recurrence holds
+coefficientwise and is asserted in the tests rather than used as the
 engine.
 
+The walk is streamed: the packed parity table is built once, and each
+chunk's steps and running sums are read from it, the sum carried over
+from the chunks before, so no array of one entry per step is ever held.
 The CSV rows are built in numpy, one chunk at a time, as a row-major
 uint8 matrix with one CSV row per matrix row.  Each cell is gathered from
 lookup tables of ASCII digit groups, four digits to a uint32 lane, so a
@@ -25,7 +29,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .f2series import F2Series, mul
+from .f2series import F2Series, _mask_tail, _nwords, mul
 from .genforms import eta_product_pnt, least_shift
 from .primes import _physical_memory, prime_array
 
@@ -43,11 +47,36 @@ def partition_parity(n: int) -> F2Series:
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        bits = np.empty(prec, dtype=np.uint8)
-        bits[0::2] = mul(even, g, (prec + 1) // 2).bits()
-        bits[1::2] = mul(odd, g, prec // 2).bits()
-        g = F2Series.from_bits(bits)
+        g = _interleave(mul(even, g, (prec + 1) // 2), mul(odd, g, prec // 2))
     return g
+
+
+@functools.cache
+def _spread_table() -> np.ndarray:
+    """The uint16 ``spread[b]`` for each byte b: bit k of b moved to bit 2k,
+    built on first use."""
+    b = np.arange(256, dtype=np.uint16)
+    spread = sum(((b >> k) & 1) << (2 * k) for k in range(8))
+    spread.flags.writeable = False  # shared by every caller
+    return spread
+
+
+def _interleave(even: F2Series, odd: F2Series) -> F2Series:
+    """The series with bit i of even at 2i and bit i of odd at 2i + 1, valid
+    to even.valid_len + odd.valid_len; odd is at most one bit shorter.
+
+    Each byte of even spreads to a uint16 of the result, and each byte of
+    odd, spread and moved one bit up, is ORed into the same uint16.
+    """
+    n = even.valid_len + odd.valid_len
+    spread = _spread_table()
+    out = spread[even.words.view(np.uint8)]
+    odd_bits = spread[odd.words.view(np.uint8)]
+    odd_bits <<= 1
+    out[:len(odd_bits)] |= odd_bits
+    words = out.view(np.uint64)[:_nwords(n)]
+    _mask_tail(words, n)
+    return F2Series(words, n)
 
 
 def delta_ell(ell):
@@ -76,43 +105,32 @@ WALK_COLUMNS = ("n", "step", "sum", "sqrt_band", "two_sqrt_band")
 
 WALK_KINDS = ("all", "delta-subseq")
 
-# int64 steps and sums, and two int64 arrays of the same length while they
-# are built (the parities widened to int64, or the primes and their deltas)
-_WALK_BYTES_PER_STEP = 32
+# rows per write; a chunk's temporaries stay near 1 MB
+_CHUNK = 1 << 13
+
+# Bytes a chunk row holds at once, at least: its row of the CSV matrix (35
+# for the narrowest row) beside its int64 step, sum and index and its
+# float64 band
+_CHUNK_BYTES_PER_ROW = 64
 
 
 def _walk_bytes(kind: str, n: int) -> int:
-    """A lower estimate of the bytes walk_arrays(kind, n) holds at once:
-    the per-step arrays plus one byte per partition parity."""
-    parities = n + 1 if kind == "all" else _nth_prime_bound(n)
-    return _WALK_BYTES_PER_STEP * n + parities
+    """A lower estimate of the bytes emit_walk(kind, n) holds at once.
 
-
-def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(steps, running sums) for the walk: +1 for even parity, -1 for odd.
-
-    kind "all" walks p(1..n); "delta-subseq" walks p(delta_ell) over the
-    first n primes ell >= 5.  A walk whose estimated size exceeds physical
-    memory raises MemoryError before anything is allocated.
+    Building the parity table holds one byte per parity while the
+    pentagonal series is packed from a byte array, more than the Newton
+    steps after it hold (under half a byte per parity).  Writing holds the
+    packed table and one chunk's rows.  "delta-subseq" holds its 8-byte
+    primes throughout, and its table reaches the n-th prime >= 5, which
+    exceeds (n + 2) ln(n + 2) (Rosser).
     """
-    if kind not in WALK_KINDS:
-        raise ValueError(f"walk kind must be one of {WALK_KINDS}")
-    need, have = _walk_bytes(kind, n), _physical_memory()
-    if need > have:
-        raise MemoryError(f"a walk of {n} steps needs about {need >> 20} MB, "
-                          f"more than the {have >> 20} MB of physical memory")
     if kind == "all":
-        par = partition_parity(n + 1).bits()[1:n + 1]
+        parities, primes = n + 1, 0
     else:
-        primes = first_primes_ge5(n)
-        deltas = delta_ell(primes)
-        par = partition_parity(int(deltas.max()) + 1).coeffs_at(deltas)
-    steps = 1 - 2 * par.astype(np.int64)
-    return steps, np.cumsum(steps)
+        parities, primes = int((n + 2) * math.log(n + 2)), 8 * n
+    chunk = _CHUNK_BYTES_PER_ROW * min(n, _CHUNK)
+    return primes + max(parities, parities // 8 + chunk)
 
-
-# rows per write; a chunk's temporaries stay near 1 MB
-_CHUNK = 1 << 13
 
 # one uint32 lane holds four ASCII digits
 _GROUP = 10_000
@@ -218,9 +236,35 @@ def _row_bytes(first: int, steps: np.ndarray, sums: np.ndarray) -> bytes:
 
 def emit_walk(kind: str, n: int, out: BinaryIO) -> None:
     """Write the walk as CSV to the open binary file `out` (columns fixed:
-    n, step, sum, sqrt_band, two_sqrt_band)."""
-    steps, sums = walk_arrays(kind, n)
+    n, step, sum, sqrt_band, two_sqrt_band), one chunk of rows at a time.
+
+    A step is +1 for even parity and -1 for odd.  Kind "all" walks
+    p(1..n); "delta-subseq" walks p(delta_ell) over the first n primes
+    ell >= 5.  A walk whose estimated size exceeds physical memory raises
+    MemoryError before anything is allocated.
+    """
+    if kind not in WALK_KINDS:
+        raise ValueError(f"walk kind must be one of {WALK_KINDS}")
+    need, have = _walk_bytes(kind, n), _physical_memory()
+    if need > have:
+        raise MemoryError(f"a walk of {n} steps needs about {need >> 20} MB, "
+                          f"more than the {have >> 20} MB of physical memory")
+    if kind == "all":
+        table = partition_parity(n + 1)
+    else:
+        primes = first_primes_ge5(n)
+        # delta_ell(ell) < ell, since least_shift(ell, 24, -1) <= 23
+        table = partition_parity(int(primes[-1]))
     out.write((",".join(WALK_COLUMNS) + "\n").encode())
+    total = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        out.write(_row_bytes(start + 1, steps[start:stop], sums[start:stop]))
+        if kind == "all":
+            at = np.arange(start + 1, stop + 1, dtype=np.int64)
+        else:
+            at = delta_ell(primes[start:stop])
+        steps = 1 - 2 * table.coeffs_at(at).astype(np.int64)
+        sums = np.cumsum(steps)
+        sums += total
+        total = int(sums[-1])
+        out.write(_row_bytes(start + 1, steps, sums))

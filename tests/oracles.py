@@ -219,6 +219,21 @@ def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[in
     return direct, formula
 
 
+def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, running sums) of the walk as whole int64 arrays: +1 for even
+    parity, -1 for odd, over p(1..n) ("all") or p(delta_ell) for the first
+    n primes ell >= 5 ("delta-subseq"), read from a table that ends at the
+    largest delta_ell."""
+    from etaparity.walks import delta_ell, first_primes_ge5, partition_parity
+    if kind == "all":
+        par = partition_parity(n + 1).bits()[1:n + 1]
+    else:
+        deltas = delta_ell(first_primes_ge5(n))
+        par = partition_parity(int(deltas.max()) + 1).coeffs_at(deltas)
+    steps = 1 - 2 * par.astype(np.int64)
+    return steps, np.cumsum(steps)
+
+
 def walk_rows_reference(first, steps, sums) -> bytes:
     """Walk CSV rows for n = first, first+1, ..., one f-string per row."""
     rows = []

@@ -349,15 +349,17 @@ def test_density_out_follows_symlinks_and_writes_pipes(tmp_path):
 
 
 def test_unwritable_walk_out_exits_two(tmp_path, monkeypatch, capsys):
-    def must_not_run(kind, n):
+    def must_not_run(*args):
         raise AssertionError("walk built before the output was opened")
 
-    monkeypatch.setattr(walks, "walk_arrays", must_not_run)
+    monkeypatch.setattr(walks, "partition_parity", must_not_run)
+    monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
     out = tmp_path / "missing" / "walk.csv"
-    assert exit_code(["walk", "--n", "10", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "No such file or directory" in err
-    assert repr(str(out)) in err and ".tmp" not in err
+    for kind in walks.WALK_KINDS:
+        assert exit_code(["walk", "--kind", kind, "--n", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No such file or directory" in err
+        assert repr(str(out)) in err and ".tmp" not in err
 
 
 def test_failed_walk_keeps_existing_out(tmp_path, monkeypatch):

@@ -58,6 +58,11 @@ class TestPrimeSieve:
             sieve(100)[0] = 4
         assert prime_array(5, 7).tolist() == [5, 7]
 
+    @pytest.mark.parametrize("bound", [0, 1, 2, 100, 10**5])
+    def test_sieve_is_read_only_int64(self, bound):
+        got = sieve(bound)
+        assert got.dtype == np.int64 and not got.flags.writeable
+
     def test_regrows_to_at_least_double(self, monkeypatch):
         cache_primes_to(monkeypatch, 100)
         assert prime_array(5, 150)[-1] == 149 and primes_mod._bound == 200

@@ -60,9 +60,12 @@ def test_walks_builds_its_lookup_tables_on_first_use():
         "import numpy as np\n"
         "from etaparity import walks\n"
         "assert walks._lane_tables.cache_info().currsize == 0\n"
+        "assert walks._spread_table.cache_info().currsize == 0\n"
         "one = np.ones(1, dtype=np.int64)\n"
         "assert walks._row_bytes(1, one, one) == b'1,1,1,1.000,2.000\\n'\n"
-        "assert walks._lane_tables.cache_info().currsize == 1\n")
+        "assert walks._lane_tables.cache_info().currsize == 1\n"
+        "assert walks.partition_parity(3).bits().tolist() == [1, 1, 0]\n"
+        "assert walks._spread_table.cache_info().currsize == 1\n")
     assert done.returncode == 0, done.stderr
 
 

@@ -1,27 +1,44 @@
 """Partition parity, the 24-inverse table, and walk CSV output."""
 
 import csv
+import io
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from etaparity import cli, walks
+import etaparity
+from etaparity import cli, primes, walks
+from etaparity.f2series import F2Series
 from etaparity.genforms import pentagonal_numbers
 from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
-                             partition_parity, walk_arrays)
+                             partition_parity)
 
 from oracles import (delta_ell_from_window, exact_partitions, mask_to_bits,
                      naive_eta_product_mask, naive_series_inverse_bits,
-                     trial_division_primes, walk_csv_reference,
+                     trial_division_primes, walk_arrays, walk_csv_reference,
                      walk_rows_reference)
 
 
 def write_walk(kind, n, path):
     with open(path, "wb") as fh:
         emit_walk(kind, n, fh)
+
+
+def read_walk(kind, n, tmp_path):
+    """(steps, sums) read back from the CSV that emit_walk writes."""
+    out = tmp_path / "walk.csv"
+    write_walk(kind, n, out)
+    cols = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(1, 2),
+                      dtype=np.int64, ndmin=2)
+    return cols[:, 0], cols[:, 1]
 
 
 class TestPartitionParity:
@@ -51,6 +68,27 @@ class TestPartitionParity:
         inv = naive_series_inverse_bits(product, 300)
         for n in range(1, 301):
             assert np.array_equal(partition_parity(n).bits(), inv[:n]), n
+
+    @given(st.integers(1, 700).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    @example([1])  # an empty odd half
+    @example([1] * 129)  # the odd half is one word shorter than the even half
+    @example([0, 1] * 64 + [1])
+    @example([1] * 128)
+    def test_interleave_against_packbits(self, bits):
+        # the even and odd halves of bits, interleaved back into the words
+        # that packbits makes of bits
+        bits = np.array(bits, dtype=np.uint8)
+        n = len(bits)
+        got = walks._interleave(F2Series.from_bits(bits[0::2]),
+                                F2Series.from_bits(bits[1::2]))
+        want = np.zeros(8 * ((n + 63) // 64), dtype=np.uint8)
+        packed = np.packbits(bits, bitorder="little")
+        want[:len(packed)] = packed
+        assert got.valid_len == n
+        assert got.words.view(np.uint8).tobytes() == want.tobytes()
+        assert np.array_equal(np.unpackbits(got.words.view(np.uint8), count=n,
+                                             bitorder="little"), bits)
 
     def test_pentagonal_recurrence_holds(self):
         n = 4000
@@ -92,17 +130,17 @@ class TestDeltaEll:
 
 
 class TestWalks:
-    def test_all_walk_final_sum(self):
-        _, sums = walk_arrays("all", 10)
+    def test_all_walk_final_sum(self, tmp_path):
+        _, sums = read_walk("all", 10, tmp_path)
         assert sums[-1] == -2  # parities 1,0,1,1,1,1,1,0,0,0
 
-    def test_delta_subseq_first_points(self):
+    def test_delta_subseq_first_points(self, tmp_path):
         # p(4), p(5), p(6) = 5, 7, 11 are all odd
-        steps, sums = walk_arrays("delta-subseq", 3)
+        steps, sums = read_walk("delta-subseq", 3, tmp_path)
         assert list(steps) == [-1, -1, -1] and sums[-1] == -3
 
-    def test_unit_steps(self):
-        steps, sums = walk_arrays("all", 500)
+    def test_unit_steps(self, tmp_path):
+        steps, sums = read_walk("all", 500, tmp_path)
         assert set(np.unique(steps)) <= {-1, 1}
         assert np.all(np.abs(np.diff(sums)) == 1)
 
@@ -111,7 +149,7 @@ class TestWalks:
         write_walk("all", 100, out)
         last = out.read_text().splitlines()[-1].split(",")
         assert last[0] == "100" and last[3:] == ["10.000", "20.000"]
-        steps, sums = walk_arrays("all", 100)
+        steps, sums = read_walk("all", 100, tmp_path)
         assert sums[0] == steps[0] and np.all(np.abs(np.diff(sums)) == 1)
 
     def test_first_primes(self):
@@ -137,9 +175,16 @@ class TestWalks:
         sums = [int(r["sum"]) for r in rows]
         assert all(abs(a - b) == 1 for a, b in zip(sums, sums[1:]))
 
-    def test_unknown_kind(self):
+    def test_unknown_kind(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("walk built for an unknown kind")
+
+        monkeypatch.setattr(walks, "partition_parity", must_not_run)
+        monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
+        out = io.BytesIO()
         with pytest.raises(ValueError):
-            walk_arrays("bogus", 10)
+            emit_walk("bogus", 10, out)
+        assert out.getvalue() == b""
 
 
 def cell_strings(pieces, count) -> list[str]:
@@ -160,10 +205,13 @@ class TestWalkWriter:
         write_walk("all", n, out)
         assert out.read_bytes() == walk_csv_reference(*walk_arrays("all", n))
 
-    def test_delta_subseq_bytes(self, tmp_path):
+    # the running sum carried across chunk edges
+    @pytest.mark.parametrize("n", [
+        5000, walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7])
+    def test_delta_subseq_bytes(self, n, tmp_path):
         out = tmp_path / "walk.csv"
-        write_walk("delta-subseq", 5000, out)
-        assert out.read_bytes() == walk_csv_reference(*walk_arrays("delta-subseq", 5000))
+        write_walk("delta-subseq", n, out)
+        assert out.read_bytes() == walk_csv_reference(*walk_arrays("delta-subseq", n))
 
     @pytest.mark.parametrize("n,factor", [
         (793212, 1.0), (999999, 1.0), (198303, 2.0), (440980, 2.0)])
@@ -200,9 +248,21 @@ class TestWalkWriter:
 
 
 class TestWalkMemoryCheck:
-    def test_estimate_covers_steps_and_sums(self):
+    def test_estimate_covers_held_bytes(self, monkeypatch):
+        # the estimate is a lower one: below the peak of the bytes traced
+        # while the walk runs, from a fresh sieve as in a new process
+        n = 10**5
         for kind in walks.WALK_KINDS:
-            assert walks._walk_bytes(kind, 10**6) >= 16 * 10**6
+            monkeypatch.setattr(primes, "_primes", primes.sieve(0))
+            monkeypatch.setattr(primes, "_bound", 0)
+            with open(os.devnull, "wb") as sink:
+                tracemalloc.start()
+                try:
+                    emit_walk(kind, n, sink)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak / 4 <= walks._walk_bytes(kind, n) <= peak, kind
 
     def test_too_large_walk_exits_two_before_allocating(self, tmp_path, monkeypatch, capsys):
         def must_not_run(n):
@@ -217,3 +277,43 @@ class TestWalkMemoryCheck:
             err = capsys.readouterr().err
             assert code == 2 and err.count("\n") == 1 and "physical memory" in err
         assert not out.exists()
+
+
+SRC = str(Path(etaparity.__file__).resolve().parent.parent)
+
+
+# Linux keeps the peak RSS of the memory a process had before its exec in
+# that process's ru_maxrss, and a child spawned from the test process starts
+# from the test process's memory.  So the children are spawned by a small
+# interpreter, whose own peak stays below theirs.
+_SPAWN_AND_WAIT = """
+import os, sys
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_max_rss(code: str, *args: str) -> int:
+    """Peak RSS in bytes of a fresh interpreter running code with args, as
+    os.wait4 reports it (Linux gives ru_maxrss in KiB)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SPAWN_AND_WAIT, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    status, kib = map(int, done.stdout.split())
+    assert status == 0, done.stderr
+    return kib * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_walk_holds_bits_not_per_step_arrays(tmp_path):
+    # whole int64 steps and sums would take 32 MB at this n; the streamed
+    # walk holds the packed parities and one chunk of rows
+    out = tmp_path / "walk.csv"
+    walk = child_max_rss("import sys; from etaparity.cli import main; sys.exit(main())",
+                         "walk", "--kind", "all", "--n", "2000000", "--out", str(out))
+    imported = child_max_rss("import etaparity.cli")
+    assert walk - imported <= 12 * 2**20, (walk, imported)
