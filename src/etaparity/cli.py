@@ -8,23 +8,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import inspect
-import json
 import os
 import sys
 
-# The package makes no BLAS call, so numpy (first loaded by the imports
-# below) gets a one-thread OpenBLAS instead of a worker that spins idle
-# beside every run.  A value set by the user is kept.
+# The package makes no BLAS call, so numpy (first loaded by the walks
+# import below) gets a one-thread OpenBLAS instead of a worker that spins
+# idle beside every run.  A value set by the user is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import density, primes, suites, walks
-from .density import PrecisionError
-from .genforms import eta_product_pnt, f_series, p_r_series
-from .level1 import genpoly_series
-from .level9 import ABELIAN_CLASSES, abelian_form
-
+# Each command imports the other package modules it runs in its own body.
+# walks alone stays here, with numpy and its leaves f2series, genforms and
+# primes: perfbench/tracer.py wraps only the modules loaded before it
+# installs, so a walks first loaded by cmd_walk would run untraced.
+from . import walks
 
 ROUTE_AGREE_TOLERANCE = 0.02
 
@@ -59,7 +55,15 @@ def _at_least(low: int):
     return parse
 
 
+def _suite_prime_bound(text: str) -> int:
+    """An argparse type for a suite prime bound: at least
+    suites.MIN_PRIME_BOUND, read only when a bound is given."""
+    from .suites import MIN_PRIME_BOUND
+    return _at_least(MIN_PRIME_BOUND)(text)
+
+
 def _expand_series(form: str, n: int):
+    from .genforms import eta_product_pnt, f_series, p_r_series
     if form == "delta":
         return p_r_series(24, n)
     if form == "C":
@@ -71,6 +75,8 @@ def _expand_series(form: str, n: int):
     if form.startswith("P:"):
         return p_r_series(int(form[2:]), n)
     if form.startswith("alpha:"):
+        from .level1 import genpoly_series
+        from .level9 import ABELIAN_CLASSES, abelian_form
         i = int(form[6:])
         if i not in ABELIAN_CLASSES:
             raise ValueError(f"alpha index must be one of {ABELIAN_CLASSES}")
@@ -79,6 +85,7 @@ def _expand_series(form: str, n: int):
 
 
 def cmd_expand(args) -> int:
+    from . import primes
     # a lower estimate: the packed q-domain series alone, one bit a coefficient
     need, have = args.coeffs // 8, primes._physical_memory()
     if need > have:
@@ -88,6 +95,7 @@ def cmd_expand(args) -> int:
     series = _expand_series(args.form, args.coeffs)
     support = [int(e) for e in series.support()]
     if args.format == "json":
+        import json
         print(json.dumps({"form": args.form, "coeffs": args.coeffs,
                           "support": support}))
     else:
@@ -96,6 +104,7 @@ def cmd_expand(args) -> int:
 
 
 def _density_rows(r: int, prime_bound: int):
+    from . import density
     direct, formula = density.eta_density(r, prime_bound)
     exact = density.eta_density_exact(r)
     routes_ok = abs(direct.value - formula.value) <= ROUTE_AGREE_TOLERANCE
@@ -145,10 +154,14 @@ def cmd_density(args) -> int:
             all_rows.extend(rows)
             ok = ok and good
         if args.format == "json":
+            import json
             json.dump(all_rows, sink, indent=1)
             sink.write("\n")
         elif args.format == "csv":
-            writer = csv.DictWriter(sink, fieldnames=density.REPORT_COLUMNS)
+            import csv
+
+            from .density import REPORT_COLUMNS
+            writer = csv.DictWriter(sink, fieldnames=REPORT_COLUMNS)
             writer.writeheader()
             writer.writerows(all_rows)
         else:
@@ -161,6 +174,10 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import inspect
+    import json
+
+    from . import suites
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     overall = True
     reports = []
@@ -212,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True,
-                          help=f"one of {sorted(suites.SUITES)} or 'all'")
-    p_verify.add_argument("--prime-bound", type=_at_least(suites.MIN_PRIME_BOUND),
-                          default=None,
-                          help="for the suites that scan primes; at least "
-                               f"{suites.MIN_PRIME_BOUND}")
+                          help="a suite name, or 'all'; an unknown name "
+                               "lists the suites")
+    p_verify.add_argument("--prime-bound", type=_suite_prime_bound, default=None,
+                          help="for the suites that scan primes; a bound below "
+                               "their minimum is rejected")
     p_verify.set_defaults(func=cmd_verify)
 
     p_walk = sub.add_parser("walk", help="emit a parity random walk as CSV")
@@ -231,7 +248,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PrecisionError, MemoryError, ValueError, OSError) as exc:
+    except (MemoryError, ValueError, OSError) as exc:  # PrecisionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 Density scans, the level-9 laws and the walk's prime subsequence all slice
 one process-wide, read-only array of primes through ``prime_array``.  It is
 re-sieved to at least double its bound when asked beyond it, and the sieve
-checks that its flag bytes fit in physical memory before it allocates them.
+checks that its flags and its primes fit in physical memory before it
+allocates them.
 ``is_prime(n)`` is always a deterministic Miller-Rabin test: twelve modular
 powers, whatever the array holds, and it never sieves.
 """
@@ -20,23 +21,37 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _sieve_bytes(bound: int) -> int:
+    """The bytes that sieve(bound) allocates: one flag per odd integer up to
+    bound, and 8 per prime, counted with pi(x) < 1.25506 x / ln x for x > 1
+    (Rosser and Schoenfeld, 1962)."""
+    primes = math.ceil(1.25506 * bound / math.log(bound)) if bound > 1 else 0
+    return (bound + 1) // 2 + 8 * primes
+
+
 def sieve(bound: int) -> np.ndarray:
     """The primes up to bound, ascending, as a read-only int64 array.
 
-    The Eratosthenes flags take one byte per integer up to bound; a bound
-    whose flags exceed physical memory raises MemoryError before anything
-    is allocated.
+    The Eratosthenes flags take one byte per odd integer up to bound; a
+    bound whose flags and primes exceed physical memory raises MemoryError
+    before anything is allocated.
     """
-    have = _physical_memory()
-    if bound + 1 > have:
-        raise MemoryError(f"sieving primes to {bound} needs about {bound >> 20} MB, "
+    need, have = _sieve_bytes(bound), _physical_memory()
+    if need > have:
+        raise MemoryError(f"sieving primes to {bound} needs about {need >> 20} MB, "
                           f"more than the {have >> 20} MB of physical memory")
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    primes = np.flatnonzero(flags)
+    if bound < 2:
+        primes = np.zeros(0, dtype=np.int64)
+    else:
+        flags = np.ones((bound + 1) // 2, dtype=bool)  # flags[i] stands for 2i + 1
+        for p in range(3, math.isqrt(bound) + 1, 2):
+            if flags[p >> 1]:
+                flags[p * p >> 1::p] = False
+        flags[0] = True  # the slot of 1, which becomes the prime 2 below
+        primes = np.flatnonzero(flags)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
     primes.flags.writeable = False  # prime_array hands out views
     return primes
 

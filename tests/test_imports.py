@@ -1,6 +1,6 @@
 """Import layering: every module imports on its own, `primes` is a leaf,
-`density` loads no form-algebra module, and only the CLI sets a one-thread
-BLAS."""
+`density` loads no form-algebra module, only the CLI sets a one-thread
+BLAS, and a CLI command loads only the modules it runs."""
 
 import os
 import pkgutil
@@ -73,8 +73,10 @@ def test_walks_builds_its_lookup_tables_on_first_use():
                     reason="needs /proc/self/task and more than one CPU")
 def test_cli_import_starts_no_blas_thread():
     done = run_python(
-        "import os\n"
-        "import etaparity.cli\n"
+        "import contextlib, io, os\n"
+        "from etaparity.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['density', '--r', '1', '--prime-bound', '10000']) == 0\n"
         "tasks = os.listdir('/proc/self/task')\n"
         "assert len(tasks) == 1, tasks\n"
         "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n")
@@ -97,3 +99,56 @@ def test_library_import_leaves_blas_threads_unset(module):
         f"import etaparity.{module}\n"
         "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n")
     assert done.returncode == 0, done.stderr
+
+
+# what `python -c CODE` prints: the etaparity modules loaded besides the
+# package and the CLI, and whether numpy is loaded
+_LOADED = ("print(sorted(m[10:] for m in sys.modules if m.startswith('etaparity.')"
+           " and m != 'etaparity.cli'), 'numpy' in sys.modules)\n")
+
+# the CLI imports walks at its top, and with it numpy and these leaves
+WALK_MODULES = ["f2series", "genforms", "primes", "walks"]
+ALL_MODULES = sorted(set(MODULES) - {"cli"})
+
+
+def test_cli_import_loads_only_the_walk_modules():
+    done = run_python("import sys\nimport etaparity.cli\n" + _LOADED)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == f"{WALK_MODULES} True"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["density", "--r", "1", "--prime-bound", "1000"],
+     sorted(WALK_MODULES + ["density"])),
+    (["density", "--r", "1", "--prime-bound", "1000", "--format", "csv"],
+     sorted(WALK_MODULES + ["density"])),
+    (["walk", "--n", "10", "--out", "{tmp}/walk.csv"], WALK_MODULES),
+    (["verify", "--suite", "combinatorial"], ALL_MODULES),
+    (["expand", "delta"], WALK_MODULES),
+    (["expand", "alpha:17"],
+     sorted(WALK_MODULES + ["cheby", "hecke", "level1", "level9"])),
+])
+def test_each_command_loads_only_its_modules(argv, modules, tmp_path):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    done = run_python(
+        "import contextlib, io, sys\n"
+        "from etaparity.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n" + _LOADED)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == f"{modules} True"
+
+
+def test_usage_error_loads_no_command_module():
+    done = run_python(
+        "import sys\n"
+        "from etaparity.cli import main\n"
+        "try:\n"
+        "    main(['density'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('no usage error')\n" + _LOADED)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == f"{WALK_MODULES} True"
+    assert "the following arguments are required: --r" in done.stderr

@@ -311,9 +311,10 @@ def child_max_rss(code: str, *args: str) -> int:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_walk_holds_bits_not_per_step_arrays(tmp_path):
     # whole int64 steps and sums would take 32 MB at this n; the streamed
-    # walk holds the packed parities and one chunk of rows
+    # walk holds the packed parities and one chunk of rows.  The baseline
+    # loads the modules that the walk command loads.
     out = tmp_path / "walk.csv"
     walk = child_max_rss("import sys; from etaparity.cli import main; sys.exit(main())",
                          "walk", "--kind", "all", "--n", "2000000", "--out", str(out))
-    imported = child_max_rss("import etaparity.cli")
+    imported = child_max_rss("import etaparity.cli, etaparity.walks")
     assert walk - imported <= 12 * 2**20, (walk, imported)
