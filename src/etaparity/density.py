@@ -4,26 +4,24 @@ One read of P_r per scan gives two empirical rows; an exact route covers
 the r where a closed form is proven.  For a prime ell let u be
 ``least_shift(ell, m_r, b_r)``, the least u >= 1 with u*ell ≡ b_r (mod m_r):
 
-* direct: for each prime ell, the bit of P_r at exponent ell * mu, the
-  leading formal coefficient of the ell-shifted series, where mu ≡ u
-  (mod m_r) is lifted into the window b_r/ell <= mu < b_r/ell + m_r;
+* direct: for each prime ell, the bit of P_r = q^(b_r) * pnt^r(q^(m_r))
+  at the leading exponent ell*mu of the ell-shifted series, the one
+  exponent b_r + m_r*k with 0 <= k < ell that ell divides.  So it is the
+  bit of pnt^r at k = ((u*ell - b_r)/m_r) mod ell;
 * formula: the sum over the unit shifts u' mod m_r of the coefficient
   densities of the Hecke shifts T_u' P_r (U_2 for u' = 2), each read at
-  u' * ell.  P_r is supported on b_r mod s and m_r | s, so at each ell
-  every shift but u reads a zero bit, and the sum is the bit at u * ell.
-  The window leaves mu = u exactly where u * ell >= b_r, and there that
-  bit is the direct one; elsewhere u * ell is below P_r's first term and
-  the bit is zero.  So the formula row counts the direct bits where
-  mu = u, and is not an independent check of P_r;
+  u' * ell.  P_r is supported on b_r mod m_r, so at each ell every shift
+  but u reads a zero bit, and the sum is the bit at u * ell.  Where
+  u * ell >= b_r that is the direct bit (mu = u); elsewhere u * ell is
+  below P_r's first term and the bit is zero.  So the formula row counts
+  the direct bits where u * ell >= b_r, and is not an independent check
+  of P_r;
 * exact: the vanishing classification (divisors/multiples of 32 or 48),
   the two dihedral families, and the handful of abelian eta powers, each
   a dyadic ``fractions.Fraction``, so exact values add exactly.
 
-The read takes P_r = g^(b_r) = q^(b_r) * h^(b_r)(q^s) (see ``genforms``)
-at E = ell * mu: the bit is that of h^(b_r) at (E - b_r)/s when
-E ≡ b_r (mod s), and zero otherwise (the window puts E >= b_r).  Every E
-is below b_r + m_r * prime_bound + 1, so the scan asks the generator-power
-cache for m_r * prime_bound // s + 1 coefficients of h^(b_r).
+Every k is below prime_bound + 1, so a scan asks ``genforms`` for the bits
+of pnt^r at those indices (``pnt_power_bits``).
 
 The module reads series through ``genforms`` and primes through
 ``primes`` alone; it loads none of the form-algebra modules ``level1``,
@@ -43,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .f2series import F2Series
-from .genforms import GENERATORS, EtaPowerParams, generator_power, least_shift
+from .genforms import EtaPowerParams, least_shift, pnt_power_bits
 from .primes import prime_array
 
 TOLERANCE_FLOOR = 0.02
@@ -56,14 +54,6 @@ class PrecisionError(ValueError):
 
 class EmptyScanError(ValueError):
     """A density scan would cover no primes, so it could estimate nothing."""
-
-
-def _mu_array(primes: np.ndarray, m: int, b: int) -> np.ndarray:
-    """mu for each prime ell not dividing m: the solution of ell*mu ≡ b
-    (mod m) in the window b/ell <= mu < b/ell + m, the least shift u
-    lifted by the multiple of m that brings u*ell up to b."""
-    u = least_shift(primes, m, b)
-    return u - m * ((u * primes - b) // (m * primes))
 
 
 @dataclass(frozen=True)
@@ -112,21 +102,16 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
 
 def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstimate]:
     """(direct, formula) parity densities of P_r from one read: the bit of
-    P_r at ell*mu for each prime ell, counted at every ell (direct) and
-    where mu = u (formula; see the module docstring)."""
+    pnt^r at k = ((u*ell - b_r)/m_r) mod ell for each prime ell, counted
+    at every ell (direct) and where u*ell >= b_r (formula; see the module
+    docstring)."""
     params = EtaPowerParams.for_power(r)
-    m, b, s = params.m_r, params.b_r, GENERATORS[params.generator][1]
+    m, b = params.m_r, params.b_r
     primes = _scan_primes(prime_bound)
-    series = generator_power(params.generator, b, m * prime_bound // s + 1)
-    mu = _mu_array(primes, m, b)
-    above = primes * mu - b  # ell*mu - b_r, which the window keeps >= 0
-    on = above % s == 0
-    bits = np.zeros(len(primes), dtype=np.uint8)
-    bits[on] = series.coeffs_at(above[on] // s)
-    # mu is u in 1..m lifted by a nonnegative multiple of m, so mu = u
-    # exactly where mu <= m
+    u = least_shift(primes, m, b)
+    bits = pnt_power_bits(r, (u * primes - b) // m % primes, prime_bound + 1)
     return (DensityEstimate.from_counts(int(bits.sum()), len(primes)),
-            DensityEstimate.from_counts(int(bits[mu <= m].sum()), len(primes)))
+            DensityEstimate.from_counts(int(bits[u * primes >= b].sum()), len(primes)))
 
 
 def zn(n: int) -> int:

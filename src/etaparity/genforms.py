@@ -22,14 +22,11 @@ e (h^(2^i)(y) = h(y^(2^i)) in characteristic 2), densest factor first,
 with every partial product kept.  ``power_in_q`` is the view in q.  Every
 generator power in the package comes from that one cache.
 
-The normalized eta power for exponent r reduces mod 2 to delta^(b_r) when
-3 | r and to C^(b_r) otherwise (``EtaPowerParams.generator``), so
-
-    P_r(q) = q^(b_r) * h^(b_r)(q^s)
-
-is supported on b_r mod s, a subset of the progression b_r mod m_r.  For
-a prime ell >= 5 the one shift of P_r that meets that progression at ell
-is u*ell with u = ``least_shift(ell, m_r, b_r)``.
+The normalized eta power P_r(q) = eta^r(m_r z) = q^(b_r) * pnt^r(q^(m_r))
+needs only the cached odd power pnt^o, since pnt^r(y) = pnt^o(y^(2^v))
+for r = 2^v * o with o odd.  For a prime ell >= 5 the one shift of P_r
+that meets its progression b_r mod m_r at ell is u*ell with
+u = ``least_shift(ell, m_r, b_r)``.
 """
 
 from __future__ import annotations
@@ -52,18 +49,14 @@ class EtaPowerParams:
 
     @classmethod
     def for_power(cls, r: int) -> "EtaPowerParams":
-        if r < 1:
-            raise ValueError("eta-power exponent must be a positive integer")
         g = math.gcd(24, r)
         return cls(r, 24 // g, r // g)
 
-    @property
-    def generator(self) -> str:
-        """The generator g with P_r = g^(b_r) mod 2: delta when 3 | r, else C."""
-        return "delta" if self.r % 3 == 0 else "C"
-
     def __post_init__(self):
-        if math.gcd(self.b_r, self.m_r) != 1 or 24 % self.m_r or self.m_r * self.r != 24 * self.b_r:
+        if self.r < 1:
+            raise ValueError("eta-power exponent must be a positive integer")
+        g = math.gcd(24, self.r)
+        if (self.m_r, self.b_r) != (24 // g, self.r // g):
             raise ValueError("inconsistent eta-power parameters")
 
 
@@ -196,14 +189,36 @@ def power_in_q(gen: str, e: int, n: int) -> F2Series:
     return F2Series.from_support(e + s * h.support(length), n)
 
 
-def p_r_series(r: int, n: int) -> F2Series:
-    """First n coefficients of the normalized eta power P_r mod 2.
+def _pnt_odd_power(r: int, n: int) -> tuple[F2Series, int]:
+    """(pnt^o, v) for r = 2^v * o with o odd, with pnt^o long enough for the
+    first n coefficients of pnt^r(y) = pnt^o(y^(2^v)); pnt is the h of the
+    generator C, so its odd powers share C's cache entries."""
+    v = (r & -r).bit_length() - 1
+    return generator_power("C", r >> v, ((n - 1) >> v) + 1), v
 
-    P_r = g^(b_r) for the generator g of ``EtaPowerParams.generator``; it
-    is zero when n <= b_r.
-    """
+
+def pnt_power_bits(r: int, ks: np.ndarray, n: int) -> np.ndarray:
+    """The bits of pnt^r at the indices ks, each in [0, n): that of pnt^o
+    at k >> v where 2^v | k, and zero elsewhere."""
+    h, v = _pnt_odd_power(r, n)
+    bits = np.zeros(len(ks), dtype=np.uint8)
+    on = (ks & ((1 << v) - 1)) == 0
+    bits[on] = h.coeffs_at(ks[on] >> v)
+    return bits
+
+
+def p_r_series(r: int, n: int) -> F2Series:
+    """First n coefficients of the normalized eta power P_r mod 2,
+    q^(b_r) * pnt^r(q^(m_r)); it is zero when n <= b_r."""
     params = EtaPowerParams.for_power(r)
-    return power_in_q(params.generator, params.b_r, n)
+    m, b = params.m_r, params.b_r
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    if n <= b:
+        return F2Series.zero(n)
+    length = (n - b - 1) // m + 1  # pnt^r coefficients k with b + m*k < n
+    h, v = _pnt_odd_power(r, length)
+    return F2Series.from_support(b + m * (h.support(((length - 1) >> v) + 1) << v), n)
 
 
 def _allowed(limit: int, cond: tuple[int, frozenset[int]]) -> np.ndarray:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cheby
-from .f2series import F2Series, _mask_tail, _nwords
+from .f2series import F2Series, add
 from .genforms import power_in_q
 from .hecke import t_op, u_op
 from .primes import is_prime
@@ -104,11 +104,10 @@ def genpoly_pow(p: GenPoly, e: int) -> GenPoly:
 
 def genpoly_series(p: GenPoly, n: int) -> F2Series:
     """Expand a generator polynomial to its first n coefficients."""
-    acc = np.zeros(_nwords(n), dtype=np.uint64)
+    acc = F2Series.zero(n)
     for e in p.exponents:
-        acc ^= power_in_q(_LEVEL_GENERATOR[p.level], e, n).words
-    _mask_tail(acc, n)
-    return F2Series(acc, n)
+        acc = add(acc, power_in_q(_LEVEL_GENERATOR[p.level], e, n))
+    return acc
 
 
 def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:

@@ -90,7 +90,8 @@ class SubseqIndex:
 
 def mu_delta(ell: int, r: int) -> SubseqIndex:
     """Order at infinity mu and coefficient index delta of the ell-shift of P_r,
-    one prime at a time (the scalar reference for ``density._mu_array``)."""
+    one prime at a time (the scalar reference for the index at which
+    ``density.eta_density`` reads pnt^r)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     if ell < 5 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
@@ -174,7 +175,10 @@ def square_and_multiply(f, e: int, n: int):
 
 
 def q_domain_eta_power(r: int, n: int):
-    """P_r to n coefficients as delta^(b_r) (3 | r) or C^(b_r), computed in q."""
+    """P_r to n coefficients as delta^(b_r) (3 | r) or C^(b_r), computed in q.
+
+    This is the independent delta/C reduction of P_r = q^(b_r) pnt^r(q^(m_r)):
+    the package builds P_r from pnt alone and never takes this route."""
     from etaparity.genforms import c_series, delta_series
     b = r // math.gcd(24, r)
     return square_and_multiply(delta_series(n) if r % 3 == 0 else c_series(n), b, n)

@@ -39,6 +39,17 @@ def test_density_csv_matches_its_recorded_hash():
         "6aad66622c3652602d44a18835e38e5b46ddd8e6b411459b375285447ce1caec"
 
 
+def test_wide_density_csv_matches_its_recorded_hash():
+    # r up to 1000 reaches odd parts of pnt^r up to 999 and every 2-adic
+    # valuation to 9; SHA-256 as written when P_r was still read as
+    # delta^(b_r) or C^(b_r) through a window mu
+    code, out = run_cli("density", "--r", "1..1000", "--prime-bound", "20000",
+                        "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1aeec779524330a3658c8f61463bef416e6913893fcbe0dfc39d9148b3007338"
+
+
 def test_deep_density_csv_matches_its_recorded_hash():
     # h^127 to about 3 100 words: the products shift by large word offsets,
     # which the 32-word table above never reaches.  SHA-256 as written when
@@ -140,9 +151,9 @@ class TestDensity:
         assert code == 2
 
     def test_one_read_of_p_r_per_r(self, monkeypatch):
-        # both rows of an r come from one lookup of h^(b_r) and one scan
+        # both rows of an r come from one read of pnt^r and one scan
         calls = {"power": 0, "scan": 0}
-        power, scan = density.generator_power, F2Series.coeffs_at
+        power, scan = density.pnt_power_bits, F2Series.coeffs_at
 
         def counted_power(*args):
             calls["power"] += 1
@@ -152,7 +163,7 @@ class TestDensity:
             calls["scan"] += 1
             return scan(self, idx)
 
-        monkeypatch.setattr(density, "generator_power", counted_power)
+        monkeypatch.setattr(density, "pnt_power_bits", counted_power)
         monkeypatch.setattr(F2Series, "coeffs_at", counted_scan)
         code, out = run_cli("density", "--r", "1..12", "--prime-bound", "5000",
                             "--format", "csv")

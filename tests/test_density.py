@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from etaparity import density as density_mod
+from etaparity import genforms
 from etaparity import primes as primes_mod
 from etaparity.density import (EmptyScanError, PrecisionError,
-                               _mu_array, eta_density, eta_density_exact,
+                               eta_density, eta_density_exact,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
-                                least_shift, p_r_series)
+                                least_shift, p_r_series, pnt_power_bits)
 from etaparity.primes import is_prime, prime_array, sieve
 
 from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
@@ -127,12 +128,22 @@ class TestMuDelta:
         assert p.b_r / ell <= idx.mu < p.b_r / ell + p.m_r
         assert idx.delta == (ell * idx.mu - p.b_r) // p.m_r >= 0
 
-    def test_vectorized_mu_matches_scalar_reference(self):
-        primes = prime_array(5, 2000)
+    def test_vectorized_mu_matches_scalar_reference(self, monkeypatch):
+        # a scan reads pnt^r at delta = (ell*mu - b_r)/m_r for every prime
+        # ell, the index of the leading term q^(ell*mu) of the ell-shift
+        bound = 2000
+        primes = prime_array(5, bound)
+        reads = []
+
+        def recorded(r, ks, n):
+            reads.append(ks.tolist())
+            return pnt_power_bits(r, ks, n)
+
+        monkeypatch.setattr(density_mod, "pnt_power_bits", recorded)
         for r in range(1, 133):
-            p = EtaPowerParams.for_power(r)
-            want = [mu_delta(int(ell), r).mu for ell in primes]
-            assert _mu_array(primes, p.m_r, p.b_r).tolist() == want, r
+            reads.clear()
+            eta_density(r, bound)
+            assert reads == [[mu_delta(int(ell), r).delta for ell in primes]], r
 
 
 class TestCoefficientDensity:
@@ -220,16 +231,18 @@ class TestEtaDensityRoutes:
             assert got == want, r
 
     def test_routes_read_the_same_bit_wherever_u_ell_reaches_b_r(self):
-        # direct reads ell*mu and formula u*ell with mu ≡ u (mod m_r); the
-        # window lifts mu above u only where u*ell < b_r, and there the
-        # formula read falls below P_r's first term q^(b_r)
+        # direct reads ell*mu = b_r + m_r*delta and formula u*ell with
+        # mu ≡ u (mod m_r); the window lifts mu above u only where
+        # u*ell < b_r, and there the formula read falls below P_r's first
+        # term q^(b_r)
         bound = 10_000
         primes = prime_array(5, bound)
         for r in range(1, 133):
             p = EtaPowerParams.for_power(r)
             series = p_r_series(r, p.b_r + p.m_r * bound + 1)
             u = least_shift(primes, p.m_r, p.b_r)
-            direct = series.coeffs_at(primes * _mu_array(primes, p.m_r, p.b_r))
+            delta = np.array([mu_delta(int(ell), r).delta for ell in primes])
+            direct = series.coeffs_at(p.b_r + p.m_r * delta)
             formula = series.coeffs_at(u * primes)
             reach = u * primes >= p.b_r
             assert np.array_equal(direct[reach], formula[reach]), r
@@ -239,8 +252,8 @@ class TestEtaDensityRoutes:
             assert got[1].hits == int(formula.sum()), r
 
     def test_one_least_shift_per_scan(self, monkeypatch):
-        # the formula row's mu = u mask comes from mu itself, so a scan
-        # computes the least shifts once, inside _mu_array
+        # the formula row's mask u*ell >= b_r reuses the least shifts of
+        # the read index, so a scan computes them once
         calls = []
 
         def counted(*args):
@@ -251,6 +264,29 @@ class TestEtaDensityRoutes:
         for n, r in enumerate((1, 18, 127), start=1):
             eta_density(r, BOUND)
             assert len(calls) == n, r
+
+    def test_eta_path_requests_only_odd_pnt_powers(self, monkeypatch):
+        # P_r = q^(b_r) pnt^r(q^(m_r)) and pnt^r(y) = pnt^o(y^(2^v)): the
+        # scans and the series ask the cache for odd powers of pnt (the h of
+        # C) alone, and never for a delta power
+        requests = []
+        power = genforms.generator_power
+
+        def recorded(gen, e, n):
+            requests.append((gen, e))
+            return power(gen, e, n)
+
+        monkeypatch.setattr(genforms, "_powers", {})
+        monkeypatch.setattr(genforms, "generator_power", recorded)
+        odd_parts = {("C", r // (r & -r)) for r in range(1, 133)}
+        for r in range(1, 133):
+            eta_density(r, 2000)
+        assert set(requests) == odd_parts
+        requests.clear()
+        for r in range(1, 133):
+            p = EtaPowerParams.for_power(r)
+            p_r_series(r, p.b_r + 64 * p.m_r)
+        assert set(requests) == odd_parts
 
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):

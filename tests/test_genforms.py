@@ -41,6 +41,13 @@ class TestEtaPowerParams:
         with pytest.raises(ValueError):
             EtaPowerParams.for_power(0)
 
+    @pytest.mark.parametrize("r,m,b", [(1, 0, 1), (1, 24, 2), (2, 24, 2),
+                                       (18, 8, 6), (48, 1, 1), (0, 1, 0),
+                                       (-24, 1, -1)])
+    def test_rejects_inconsistent(self, r, m, b):
+        with pytest.raises(ValueError):
+            EtaPowerParams(r, m, b)
+
 
 class TestGenerators:
     def test_delta_supports(self):
@@ -160,14 +167,16 @@ class TestEtaPowers:
         assert supp(p_r_series(127, 128)) == [127]
 
     def test_progression_is_compressed_series(self, monkeypatch):
-        # P_18 = q^3 T^3(q^8): 800 coefficients of P_18 need 100 of T^3,
-        # and a longer cached T^3 gives the same view
+        # P_18 = q^3 pnt^18(q^4) = q^3 pnt^9(q^8): 800 coefficients of P_18
+        # need 100 of pnt^9, and a longer cached pnt^9 gives the same view
         monkeypatch.setattr(genforms, "_powers", {})
         want = q_domain_eta_power(18, 800).bits()
         for length in (100, 500):
-            assert generator_power("delta", 3, length).valid_len == length
+            assert generator_power("C", 9, length).valid_len == length
             assert np.array_equal(p_r_series(18, 800).bits(), want)
-        assert generator_power("delta", 3, 100).valid_len == 500
+            assert genforms._powers[("C", 9)].valid_len == length
+        assert ("C", 18) not in genforms._powers
+        assert generator_power("C", 9, 100).valid_len == 500
 
     def test_view_needs_enough_progression(self):
         with pytest.raises(ValueError):
