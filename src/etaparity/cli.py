@@ -85,13 +85,10 @@ def _expand_series(form: str, n: int):
 
 
 def cmd_expand(args) -> int:
-    from . import primes
+    from .primes import require_memory
     # a lower estimate: the packed q-domain series alone, one bit a coefficient
-    need, have = args.coeffs // 8, primes._physical_memory()
-    if need > have:
-        raise MemoryError(f"expanding {args.coeffs} coefficients needs at least "
-                          f"{need >> 20} MB, more than the {have >> 20} MB of "
-                          f"physical memory")
+    require_memory(args.coeffs // 8,
+                   f"expanding {args.coeffs} coefficients needs at least")
     series = _expand_series(args.form, args.coeffs)
     support = [int(e) for e in series.support()]
     if args.format == "json":

@@ -13,19 +13,16 @@ Each has the form g(q) = q * h(q^s) (table ``GENERATORS``):
     F     = q * H(q^3),    H   = sum of y^((k^2-1)/3) over k >= 1, 3 ∤ k.
 
 So g^e = q^e * h^e(q^s), and n coefficients of g^e need only about n/s
-coefficients of h^e.  ``generator_power`` caches h^e by (generator, e) at
-the largest precision asked for, and builds a missing power from that
-cache: an odd h^e with top bit 2^t is the cached h^(e - 2^t) times the
-dilation h(y^(2^t)), one sparse multiply, and an even h^e is its odd part
-dilated, with no multiply.  This is the Frobenius product over the bits of
-e (h^(2^i)(y) = h(y^(2^i)) in characteristic 2), densest factor first,
-with every partial product kept.  ``power_in_q`` is the view in q.  Every
-generator power in the package comes from that one cache.
-
-The normalized eta power P_r(q) = eta^r(m_r z) = q^(b_r) * pnt^r(q^(m_r))
-needs only the cached odd power pnt^o, since pnt^r(y) = pnt^o(y^(2^v))
-for r = 2^v * o with o odd.  For a prime ell >= 5 the one shift of P_r
-that meets its progression b_r mod m_r at ell is u*ell with
+coefficients of h^e.  In characteristic 2, h^(2^v * o)(y) = h^o(y^(2^v)):
+``_odd_power`` splits e = 2^v * o, and ``generator_power`` caches h^o for
+o = 0 and odd o only, at the largest precision asked for.  A missing odd
+h^o with top bit 2^t is the cached h^(o - 2^t) times h(y^(2^t)), one
+sparse multiply: the Frobenius product over the bits of o, with every
+partial product kept.  ``_dilated_power``, the first n coefficients of
+q^a * h^e(q^s), gives g^e (``power_in_q``), the normalized eta power
+P_r(q) = eta^r(m_r z) = q^(b_r) * pnt^r(q^(m_r)) (``p_r_series``; pnt is
+the h of C) and the factor h(y^(2^t)).  For a prime ell >= 5 the one
+shift of P_r that meets its progression b_r mod m_r at ell is u*ell with
 u = ``least_shift(ell, m_r, b_r)``.
 """
 
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2series import F2Series, mul, substitute_qk
+from .f2series import F2Series, mul
 
 
 @dataclass(frozen=True)
@@ -152,55 +149,57 @@ _powers: dict[tuple[str, int], F2Series] = {}
 
 
 def generator_power(gen: str, e: int, n: int) -> F2Series:
-    """h^e to at least n coefficients, where the generator g(q) = q * h(q^s).
+    """h^e to at least n coefficients, for e = 0 or odd e, where the
+    generator g(q) = q * h(q^s).
 
     Cached by (gen, e); a request beyond the cached precision rebuilds at
     the requested one, so the cache keeps the largest precision seen.  A
-    miss is built from the cache: even e = 2^v * o dilates h^o, and odd
-    e with top bit 2^t is h^(e - 2^t) * h(y^(2^t)), one sparse multiply.
+    miss with top bit 2^t is h^(e - 2^t) * h(y^(2^t)), one sparse multiply.
     """
     if e < 0 or n < 1:
         raise ValueError("need e >= 0 and n >= 1")
+    if e > 1 and e % 2 == 0:
+        raise ValueError(f"h^{e} is not cached: read it through its odd part")
     got = _powers.get((gen, e))
     if got is None or got.valid_len < n:
-        h = GENERATORS[gen][0]
         if e <= 1:
-            got = F2Series.one(n) if e == 0 else h(n)
-        elif e % 2 == 0:
-            k = e & -e
-            got = substitute_qk(generator_power(gen, e // k, -(-n // k)), k, n)
+            got = F2Series.one(n) if e == 0 else GENERATORS[gen][0](n)
         else:
             k = 1 << (e.bit_length() - 1)
             got = mul(generator_power(gen, e - k, n),
-                      substitute_qk(h(-(-n // k)), k, n), n)
+                      _dilated_power(gen, 1, 0, k, n), n)
         _powers[(gen, e)] = got
     return got
 
 
-def power_in_q(gen: str, e: int, n: int) -> F2Series:
-    """First n coefficients of g^e = q^e * h^e(q^s), from the cached h^e."""
+def _odd_power(gen: str, e: int, n: int) -> tuple[F2Series, int]:
+    """(h^o, v) for e = 2^v * o with o odd (v = 0 for e = 0), with h^o long
+    enough for the first n coefficients of h^e(y) = h^o(y^(2^v))."""
+    v = (e & -e).bit_length() - 1 if e else 0
+    return generator_power(gen, e >> v, ((n - 1) >> v) + 1), v
+
+
+def _dilated_power(gen: str, e: int, a: int, s: int, n: int) -> F2Series:
+    """First n coefficients of q^a * h^e(q^s), from the cached odd part of
+    h^e; it is zero when n <= a."""
     if n < 1:
         raise ValueError("precision must be >= 1")
-    if n <= e:
+    if n <= a:
         return F2Series.zero(n)
-    s = GENERATORS[gen][1]
-    length = (n - e - 1) // s + 1  # h^e coefficients j with e + s*j < n
-    h = generator_power(gen, e, length)
-    return F2Series.from_support(e + s * h.support(length), n)
+    length = (n - a - 1) // s + 1  # h^e coefficients j with a + s*j < n
+    h, v = _odd_power(gen, e, length)
+    return F2Series.from_support(a + (s << v) * h.support(((length - 1) >> v) + 1), n)
 
 
-def _pnt_odd_power(r: int, n: int) -> tuple[F2Series, int]:
-    """(pnt^o, v) for r = 2^v * o with o odd, with pnt^o long enough for the
-    first n coefficients of pnt^r(y) = pnt^o(y^(2^v)); pnt is the h of the
-    generator C, so its odd powers share C's cache entries."""
-    v = (r & -r).bit_length() - 1
-    return generator_power("C", r >> v, ((n - 1) >> v) + 1), v
+def power_in_q(gen: str, e: int, n: int) -> F2Series:
+    """First n coefficients of g^e = q^e * h^e(q^s)."""
+    return _dilated_power(gen, e, e, GENERATORS[gen][1], n)
 
 
 def pnt_power_bits(r: int, ks: np.ndarray, n: int) -> np.ndarray:
     """The bits of pnt^r at the indices ks, each in [0, n): that of pnt^o
     at k >> v where 2^v | k, and zero elsewhere."""
-    h, v = _pnt_odd_power(r, n)
+    h, v = _odd_power("C", r, n)
     bits = np.zeros(len(ks), dtype=np.uint8)
     on = (ks & ((1 << v) - 1)) == 0
     bits[on] = h.coeffs_at(ks[on] >> v)
@@ -211,14 +210,7 @@ def p_r_series(r: int, n: int) -> F2Series:
     """First n coefficients of the normalized eta power P_r mod 2,
     q^(b_r) * pnt^r(q^(m_r)); it is zero when n <= b_r."""
     params = EtaPowerParams.for_power(r)
-    m, b = params.m_r, params.b_r
-    if n < 1:
-        raise ValueError("precision must be >= 1")
-    if n <= b:
-        return F2Series.zero(n)
-    length = (n - b - 1) // m + 1  # pnt^r coefficients k with b + m*k < n
-    h, v = _pnt_odd_power(r, length)
-    return F2Series.from_support(b + m * (h.support(((length - 1) >> v) + 1) << v), n)
+    return _dilated_power("C", r, params.b_r, params.m_r, n)
 
 
 def _allowed(limit: int, cond: tuple[int, frozenset[int]]) -> np.ndarray:

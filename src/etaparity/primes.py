@@ -4,7 +4,7 @@ Density scans, the level-9 laws and the walk's prime subsequence all slice
 one process-wide, read-only array of primes through ``prime_array``.  It is
 re-sieved to at least double its bound when asked beyond it, and the sieve
 checks that its flags and its primes fit in physical memory before it
-allocates them.
+allocates them, with ``require_memory``, the package's one such check.
 ``is_prime(n)`` is always a deterministic Miller-Rabin test: twelve modular
 powers, whatever the array holds, and it never sieves.
 """
@@ -19,6 +19,16 @@ import numpy as np
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise MemoryError when an estimate of `need` bytes exceeds physical
+    memory; callers check before they allocate.  `what` opens the message,
+    as in "sieving primes to 10 needs about"."""
+    have = _physical_memory()
+    if need > have:
+        raise MemoryError(f"{what} {need >> 20} MB, more than the "
+                          f"{have >> 20} MB of physical memory")
 
 
 def _sieve_bytes(bound: int) -> int:
@@ -36,10 +46,7 @@ def sieve(bound: int) -> np.ndarray:
     bound whose flags and primes exceed physical memory raises MemoryError
     before anything is allocated.
     """
-    need, have = _sieve_bytes(bound), _physical_memory()
-    if need > have:
-        raise MemoryError(f"sieving primes to {bound} needs about {need >> 20} MB, "
-                          f"more than the {have >> 20} MB of physical memory")
+    require_memory(_sieve_bytes(bound), f"sieving primes to {bound} needs about")
     if bound < 2:
         primes = np.zeros(0, dtype=np.int64)
     else:

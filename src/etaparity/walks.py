@@ -31,7 +31,7 @@ import numpy as np
 
 from .f2series import F2Series, _mask_tail, _nwords, mul
 from .genforms import eta_product_pnt, least_shift
-from .primes import _physical_memory, prime_array
+from .primes import prime_array, require_memory
 
 
 def partition_parity(n: int) -> F2Series:
@@ -245,10 +245,7 @@ def emit_walk(kind: str, n: int, out: BinaryIO) -> None:
     """
     if kind not in WALK_KINDS:
         raise ValueError(f"walk kind must be one of {WALK_KINDS}")
-    need, have = _walk_bytes(kind, n), _physical_memory()
-    if need > have:
-        raise MemoryError(f"a walk of {n} steps needs about {need >> 20} MB, "
-                          f"more than the {have >> 20} MB of physical memory")
+    require_memory(_walk_bytes(kind, n), f"a walk of {n} steps needs about")
     if kind == "all":
         table = partition_parity(n + 1)
     else:

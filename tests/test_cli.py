@@ -199,6 +199,15 @@ class TestVerify:
         code, out = run_cli("verify", "--suite", "combinatorial")
         assert code == 1 and json.loads(out)["passed"] is False
 
+    def test_wrong_theta_oracle_fails_its_check(self, monkeypatch):
+        # alpha_5 given alpha_7's quadratic form: the level9 suite reports
+        # the disagreement as one failed check, in JSON, with exit 1
+        from etaparity import level9
+        monkeypatch.setitem(level9._THETA_TABLE, 5, level9._THETA_TABLE[7])
+        code, out = run_cli("verify", "--suite", "level9", "--prime-bound", "10000")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert code == 1 and failed == ["alpha_5 theta oracle agrees"]
+
 
 class TestWalk:
     def test_writes_rows(self, tmp_path):
@@ -376,7 +385,7 @@ def test_unwritable_walk_out_exits_two(tmp_path, monkeypatch, capsys):
 def test_failed_walk_keeps_existing_out(tmp_path, monkeypatch):
     out = tmp_path / "walk.csv"
     out.write_text("earlier walk\n")
-    monkeypatch.setattr(walks, "_physical_memory", lambda: 16 * 1000)
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 1000)
     assert exit_code(["walk", "--n", "1000", "--out", str(out)]) == 2
     assert out.read_text() == "earlier walk\n" and list(tmp_path.iterdir()) == [out]
     monkeypatch.undo()

@@ -219,9 +219,16 @@ def counting_mul(monkeypatch):
     return operands
 
 
+def odd_split(e):
+    """(o, v) with e = 2^v * o and o odd, or (0, 0) for e = 0."""
+    v = (e & -e).bit_length() - 1 if e else 0
+    return e >> v, v
+
+
 class TestGeneratorPowerCache:
-    """Each missing h^e is built from the cache: h^(e - 2^t) times one
-    dilated factor for odd e, its odd part dilated for even e."""
+    """Only h^0 and odd h^e are cached; a missing odd h^e is h^(e - 2^t)
+    times one dilated factor, and an even power is read through its odd
+    part with no multiply and no cache entry."""
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(sorted(GENERATOR_SERIES)),
@@ -238,6 +245,7 @@ class TestGeneratorPowerCache:
             mp.setattr(genforms, "_powers", {})
             for gen, e, ns in requests:
                 s = genforms.GENERATORS[gen][1]
+                o, v = odd_split(e)
                 for n in ns:
                     got = power_in_q(gen, e, n)
                     want = square_and_multiply(GENERATOR_SERIES[gen](n), e, n)
@@ -245,12 +253,23 @@ class TestGeneratorPowerCache:
                     assert np.array_equal(got.bits(), want.bits()), (gen, e, n)
                     if n > e:
                         length = (n - e - 1) // s + 1
-                        assert generator_power(gen, e, length).valid_len >= length
-            # every cached power, requested or a prefix, is h^e to its length
+                        cached = genforms._powers[(gen, o)].valid_len
+                        assert cached >= ((length - 1) >> v) + 1
+            # every cached power, requested or a prefix, is h^e to its length,
+            # and no even power above h^0 is kept
             for (gen, e), got in genforms._powers.items():
+                assert e <= 1 or e % 2 == 1, (gen, e)
                 h, n = genforms.GENERATORS[gen][0], got.valid_len
                 want = F2Series.one(n) if e == 0 else square_and_multiply(h(n), e, n)
                 assert np.array_equal(got.bits(), want.bits()), (gen, e, n)
+
+    @pytest.mark.parametrize("gen", sorted(GENERATOR_SERIES))
+    def test_even_power_is_not_cached(self, gen, monkeypatch):
+        monkeypatch.setattr(genforms, "_powers", {})
+        for e in (2, 4, 14, 24, 600):
+            with pytest.raises(ValueError):
+                generator_power(gen, e, 100)
+        assert genforms._powers == {}
 
     def test_one_multiply_per_new_power(self, monkeypatch):
         monkeypatch.setattr(genforms, "_powers", {})
@@ -261,27 +280,40 @@ class TestGeneratorPowerCache:
         operands.clear()
         generator_power("delta", 7, n)  # h^3 * h(y^4)
         assert len(operands) == 1
-        operands.clear()
-        generator_power("delta", 14, n)  # h^7 dilated
-        generator_power("delta", 56, n)
-        assert operands == []
+        assert sorted(genforms._powers) == [("delta", 1), ("delta", 3), ("delta", 7)]
         # at 2n, h^1, h^3 and h^7 are rebuilt; no operand is a shorter prefix
+        operands.clear()
         generator_power("delta", 7, 2 * n)
         assert len(operands) == 2
         assert all(min(lens) >= 2 * n for lens in operands)
         assert [genforms._powers[("delta", e)].valid_len for e in (1, 3, 7)] == [2 * n] * 3
-        for e in (7, 14, 56):
-            got = generator_power("delta", e, n)
-            assert got == square_and_multiply(triangular_theta(n), e, n), e
+        assert generator_power("delta", 7, n) == \
+            square_and_multiply(triangular_theta(2 * n), 7, 2 * n)
+
+    def test_even_power_is_a_view_of_its_odd_part(self, monkeypatch):
+        # delta^14 and delta^56 read h^7 through y -> y^2 and y -> y^8, and
+        # P_14 = q^7 pnt^14(q^12) reads pnt^7: no multiply, no new entry
+        monkeypatch.setattr(genforms, "_powers", {})
+        n = 8000
+        generator_power("delta", 7, n // 8)
+        generator_power("C", 7, n // 12)
+        cached = dict(genforms._powers)
+        operands = counting_mul(monkeypatch)
+        delta = delta_series(n)
+        for e in (14, 56):
+            assert power_in_q("delta", e, n) == square_and_multiply(delta, e, n), e
+        assert p_r_series(14, n) == q_domain_eta_power(14, n)
+        assert operands == []
+        assert genforms._powers == cached
 
     def test_cold_power_costs_its_frobenius_product(self, monkeypatch):
-        # h^e from an empty cache takes popcount(odd part of e) - 1 multiplies,
-        # as the product over the bits of e does
-        for e in (1, 2, 5, 11, 0b1011011 << 2, 255):
+        # pnt^r from an empty cache takes popcount(odd part of r) - 1
+        # multiplies, as the product over the bits of r does
+        for r in (1, 2, 5, 11, 0b1011011 << 2, 255):
             monkeypatch.setattr(genforms, "_powers", {})
             operands = counting_mul(monkeypatch)
-            generator_power("C", e, 5000)
-            assert len(operands) == bin(e).count("1") - 1, e
+            p_r_series(r, 5000)
+            assert len(operands) == bin(r).count("1") - 1, r
 
 
 ODD = (2, frozenset({1}))

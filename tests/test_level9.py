@@ -5,7 +5,8 @@ import pytest
 
 from etaparity.hecke import u_op
 from etaparity.level1 import GenPoly, genpoly_pow, genpoly_series, hecke_on_genpoly
-from etaparity.level9 import (_THETA_TABLE, abelian_form, k9_basis_element,
+from etaparity.level9 import (_THETA_TABLE, ABELIAN_CLASSES, abelian_form,
+                              abelian_theta_agrees, k9_basis_element,
                               u2_fn_expected, u3_fn_expected,
                               verify_abelian_law, verify_u2_u3_kernel)
 
@@ -88,6 +89,12 @@ class TestAbelianForms:
 
     def test_alpha17(self):
         assert abelian_form(17).exponents == frozenset({17, 20})
+
+    def test_theta_oracles_agree(self, monkeypatch):
+        assert all(abelian_theta_agrees(i) for i in ABELIAN_CLASSES)
+        monkeypatch.setitem(_THETA_TABLE, 13, _THETA_TABLE[5])
+        assert not abelian_theta_agrees(13)
+        assert abelian_form(13) == genpoly_pow(GenPoly(9, frozenset({1, 4})), 13)
 
     def test_rejects_other_classes(self):
         for i in (1, 3, 23, 12):

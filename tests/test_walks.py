@@ -268,7 +268,7 @@ class TestWalkMemoryCheck:
         def must_not_run(n):
             raise AssertionError("partition parities built despite the memory check")
 
-        monkeypatch.setattr(walks, "_physical_memory", lambda: 16 * 1000)
+        monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 1000)
         monkeypatch.setattr(walks, "partition_parity", must_not_run)
         monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
         out = tmp_path / "walk.csv"
