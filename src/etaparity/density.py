@@ -29,7 +29,7 @@ The module reads series through ``genforms`` and primes through
 
 Primes 2 and 3 are excluded from every scan (congruence obstructions); a
 scan over no primes at all raises ``EmptyScanError``.  Estimates carry
-binomial statistics; acceptance tolerance is max(0.02, 4 sigma) throughout.
+binomial statistics; acceptance tolerance is 4 sigma throughout.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .f2series import F2Series
 from .genforms import EtaPowerParams, least_shift, pnt_power_bits
 from .primes import prime_array
 
-TOLERANCE_FLOOR = 0.02
 SIGMA_FACTOR = 4.0
 
 
@@ -79,7 +78,7 @@ class DensityEstimate:
 
     @property
     def tolerance(self) -> float:
-        return max(TOLERANCE_FLOOR, SIGMA_FACTOR * self.sigma)
+        return SIGMA_FACTOR * self.sigma
 
 
 def _scan_primes(prime_bound: int) -> np.ndarray:

@@ -4,10 +4,11 @@ Level-1 forms are GF(2) polynomials in the generator delta; level-9 forms
 are polynomials in F.  A ``GenPoly`` stores the exponent set; its
 q-expansion sums the generator powers g^e = q^e * h^e(q^s) served by the
 one cache in ``genforms`` (``power_in_q``).  The Hecke action is computed
-by expanding to a q-series at just enough precision, applying the
-operator, and greedily re-expressing in generator powers (the generator
-power g^e has leading term q^e, so the lowest surviving exponent of the
-residual identifies the next monomial).
+by expanding to a q-series, applying the operator, and greedily
+re-expressing in generator powers (the generator power g^e has leading
+term q^e, so the lowest surviving exponent of the residual identifies the
+next monomial); the image is checked to be zero past the degree bound on
+as many coefficients as lie below it.
 
 The adapted basis m(a,b) dual to monomials in (T_3, T_5) is never
 materialized as q-series: duality makes a form's coordinates directly
@@ -46,8 +47,6 @@ class GenPoly:
             raise ValueError(f"level must be one of {LEVELS}")
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
-        if not isinstance(self.exponents, frozenset):
-            object.__setattr__(self, "exponents", frozenset(self.exponents))
 
     @property
     def degree(self) -> int:
@@ -57,49 +56,25 @@ class GenPoly:
     def is_zero(self) -> bool:
         return not self.exponents
 
-    def mask(self) -> int:
-        """The exponent set packed as an integer (bit e = coefficient of g^e)."""
-        m = 0
-        for e in self.exponents:
-            m |= 1 << e
-        return m
-
-    @classmethod
-    def from_mask(cls, level: int, mask: int) -> "GenPoly":
-        exps = []
-        e = 0
-        while mask:
-            if mask & 1:
-                exps.append(e)
-            mask >>= 1
-            e += 1
-        return cls(level, frozenset(exps))
-
     def __repr__(self) -> str:
         return f"GenPoly({_LEVEL_GENERATOR[self.level]}: {sorted(self.exponents)})"
 
 
-def clmul(a: int, b: int) -> int:
-    """Carryless product of GF(2) polynomials packed in integers."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def genpoly_pow(p: GenPoly, e: int) -> GenPoly:
+    """p^e by square-and-multiply on exponent sets: squaring doubles every
+    exponent (Frobenius), and a product toggles each sum i + j."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    acc = 1
-    m = p.mask()
+    acc = frozenset({0})
     for bit in bin(e)[2:]:
-        acc = clmul(acc, acc)
+        acc = frozenset(2 * i for i in acc)
         if bit == "1":
-            acc = clmul(acc, m)
-    return GenPoly.from_mask(p.level, acc)
+            prod = set()
+            for i in acc:
+                for j in p.exponents:
+                    prod ^= {i + j}
+            acc = frozenset(prod)
+    return GenPoly(p.level, acc)
 
 
 def genpoly_series(p: GenPoly, n: int) -> F2Series:
@@ -114,15 +89,16 @@ def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
     """Re-express a series as a generator polynomial of degree <= max_degree.
 
     Greedy elimination by lowest-order term: g^e starts at q^e, so the
-    lowest nonzero index of the residual is the next exponent.  Fails with
-    a diagnostic when the residual is nonzero below valid_len but its
-    lowest index exceeds max_degree (the input is not in the algebra at
-    this degree and precision).
+    lowest nonzero index of the residual is the next exponent.  The series
+    must carry at least 2*(max_degree+1) coefficients, so that the residual
+    is checked on as many coefficients past the degree bound as below it:
+    a residual starting above max_degree is a ValueError, never a longer
+    polynomial.  A zero residual on every coefficient certifies the result.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
-    if f.valid_len <= max_degree:
-        raise ValueError("series too short to re-express to this degree")
+    if f.valid_len < 2 * (max_degree + 1):
+        raise ValueError("series too short to certify a re-expression to this degree")
     residual = f.words.copy()
     n = f.valid_len
     exponents = []
@@ -144,10 +120,11 @@ def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
 def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
     """Apply T_ell (or U_2 at level 9) to a generator polynomial.
 
-    Expands to ell*(bound+1) coefficients, applies the series operator,
-    and re-expresses.  T_ell never raises the generator degree; a
-    violation of that bound is a hard error from to_genpoly.  U_2 at
-    level 9 can raise low degrees (U_2 F = F^2), bounded by (deg+3)/2.
+    T_ell never raises the generator degree; U_2 at level 9 can raise low
+    degrees (U_2 F = F^2), to at most (deg+3)/2.  The polynomial is expanded
+    to 2*ell*(bound+1) coefficients, so the image has 2*(bound+1), and
+    to_genpoly re-expresses it at degree <= bound.  An image that is not a
+    polynomial within the bound leaves a residual past it and raises.
     """
     if p.is_zero():
         return p
@@ -156,16 +133,15 @@ def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
         if p.level != 9:
             raise ValueError("U_2 on polynomials is a level-9 operation")
         bound = max(deg, (deg + 3) // 2)
-        series = genpoly_series(p, 2 * (bound + 1))
-        image = u_op(series, 2)
+        op = u_op
     else:
         if p.level == 9 and ell == 3:
             raise ValueError("T_3 is not in the level-9 Hecke algebra")
         if not is_prime(ell):
             raise ValueError(f"invalid Hecke index {ell}")
         bound = deg
-        series = genpoly_series(p, ell * (bound + 1))
-        image = t_op(series, ell)
+        op = t_op
+    image = op(genpoly_series(p, 2 * ell * (bound + 1)), ell)
     return to_genpoly(image, p.level, bound)
 
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .f2series import F2Series
 from .genforms import CongruenceTheta, congruence_theta
 from .hecke import u_op
 from .level1 import GenPoly, genpoly_pow, genpoly_series
@@ -107,10 +108,10 @@ def abelian_theta_agrees(i: int) -> bool:
     return genpoly_series(abelian_form(i), n) == congruence_theta(_THETA_TABLE[i], n)
 
 
-def verify_abelian_law(i: int, prime_bound: int) -> list[int]:
-    """Primes 5 <= ell <= prime_bound violating a_ell(alpha_i) = [ell ≡ i mod 24]."""
-    series = genpoly_series(GenPoly(9, _F_EXPONENTS[i]), prime_bound + 1)
-    primes = prime_array(5, prime_bound)
+def verify_abelian_law(i: int, series: F2Series) -> list[int]:
+    """Primes 5 <= ell < series.valid_len where the bits of a series of
+    alpha_i violate a_ell(alpha_i) = [ell ≡ i mod 24]."""
+    primes = prime_array(5, series.valid_len - 1)
     bits = series.coeffs_at(primes)
     want = (primes % 24 == i).astype(np.uint8)
     return [int(p) for p in primes[bits != want]]

@@ -109,7 +109,7 @@ def suite_hecke_grading() -> SuiteResult:
             ok = not len(supp) or bool(np.all(supp % 8 == (ell * i) % 8))
             res.add(f"level1 T_{ell} K^{i} -> K^{ell * i % 8}", ok)
     for i in (5, 7, 13):
-        form = genpoly_series(genpoly_pow(GenPoly(9, frozenset({1, 4})), i), n)
+        form = genpoly_series(genpoly_pow(level9._C_POLY, i), n)
         for ell in (5, 7, 13):
             image = t_op(form, ell)
             supp = image.support()
@@ -182,21 +182,20 @@ def suite_level9(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     res.add(f"U_2, U_3 kill the K(9) basis to n <= {KERNEL_N_MAX}",
             not violations, detail="; ".join(violations))
     for i in level9.ABELIAN_CLASSES:
-        form = level9.abelian_form(i)
         res.add(f"alpha_{i} theta oracle agrees", level9.abelian_theta_agrees(i))
-        bad = level9.verify_abelian_law(i, prime_bound)
+        series = genpoly_series(level9.abelian_form(i), prime_bound + 1)
+        bad = level9.verify_abelian_law(i, series)
         res.add(f"a_ell(alpha_{i}) = [ell = {i} mod 24] to {prime_bound}",
                 not bad, detail=f"counterexamples: {bad[:5]}" if bad else "")
-        series = genpoly_series(form, prime_bound + 1)
         est = density.odd_coeff_density(series, prime_bound)
+        # a fixed 0.02: below a bound of about 42 000, 4 sigma at 1/8 is wider
         res.add(f"empirical density(alpha_{i}) = 1/8",
                 abs(est.value - 0.125) <= 0.02, detail=f"value={est.value:.4f}")
-    c_poly = GenPoly(9, frozenset({1, 4}))
     for s in (5, 7, 13):
-        cs = genpoly_pow(c_poly, s)
+        cs = genpoly_pow(level9._C_POLY, s)
         for ell in (5, 7, 13):
             got = hecke_on_genpoly(cs, ell)
-            want = c_poly if ell == s else GenPoly(9, frozenset())
+            want = level9._C_POLY if ell == s else GenPoly(9, frozenset())
             res.add(f"T_{ell} C^{s} = {'C' if ell == s else '0'}", got == want)
         res.add(f"U_2 C^{s} = 0",
                 hecke_on_genpoly(cs, 2) == GenPoly(9, frozenset()))

@@ -9,7 +9,7 @@ import pytest
 from etaparity import density as density_mod
 from etaparity import genforms
 from etaparity import primes as primes_mod
-from etaparity.density import (EmptyScanError, PrecisionError,
+from etaparity.density import (DensityEstimate, EmptyScanError, PrecisionError,
                                eta_density, eta_density_exact,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
@@ -161,6 +161,12 @@ class TestCoefficientDensity:
         f = square_and_multiply(c_series(BOUND + 1), 5, BOUND + 1)
         est = odd_coeff_density(f, BOUND)
         assert abs(est.value - 0.125) < 0.02
+
+    def test_tolerance_is_four_sigma(self):
+        # 1/8 + 1/64 from 10^6 samples lies 45 sigma from 1/8
+        est = DensityEstimate.from_counts(140_625, 1_000_000)
+        assert est.tolerance == 4.0 * est.sigma
+        assert abs(est.value - 0.125) > est.tolerance
 
     def test_progression_filter_sharpness(self):
         # a_ell(delta^3) = 1 exactly for ell = 3 mod 8

@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etaparity import level1
 from etaparity.density import DensityEstimate
-from etaparity.f2series import F2Series
+from etaparity.f2series import F2Series, add
 from etaparity.genforms import c_series, delta_series
-from etaparity.level1 import (GenPoly, clmul,
-                              code_matrix, dihedral_density, genpoly_pow,
-                              genpoly_series, hecke_on_genpoly, to_genpoly)
+from etaparity.level1 import (GenPoly, code_matrix, dihedral_density,
+                              genpoly_pow, genpoly_series, hecke_on_genpoly,
+                              to_genpoly)
+
+from oracles import square_and_multiply
 
 
 class TestGenPoly:
@@ -24,15 +29,22 @@ class TestGenPoly:
         with pytest.raises(ValueError):
             GenPoly(1, frozenset({-1}))
 
-    def test_mask_roundtrip(self):
-        p = GenPoly(9, frozenset({0, 2, 5}))
-        assert GenPoly.from_mask(9, p.mask()) == p
-
     def test_mul_and_pow(self):
         c = GenPoly(9, frozenset({1, 4}))
-        assert GenPoly.from_mask(9, clmul(c.mask(), c.mask())) == \
-            GenPoly(9, frozenset({2, 8}))
+        assert genpoly_pow(c, 2) == GenPoly(9, frozenset({2, 8}))
         assert genpoly_pow(c, 5).exponents == frozenset({5, 8, 17, 20})
+        assert genpoly_pow(c, 0) == GenPoly(9, frozenset({0}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(level=st.sampled_from((1, 9)),
+           exponents=st.frozensets(st.integers(0, 12), max_size=4),
+           e=st.integers(0, 9))
+    def test_pow_matches_series_square_and_multiply(self, level, exponents, e):
+        # exponent-set arithmetic against the product of the q-expansions
+        n = 400
+        p = GenPoly(level, exponents)
+        assert genpoly_series(genpoly_pow(p, e), n) == \
+            square_and_multiply(genpoly_series(p, n), e, n)
 
 
 class TestToGenPoly:
@@ -59,6 +71,10 @@ class TestToGenPoly:
     def test_requires_enough_precision(self):
         with pytest.raises(ValueError):
             to_genpoly(F2Series.zero(5), 1, 5)
+        # room past the bound for a residual to show: 2*(max_degree+1) terms
+        with pytest.raises(ValueError, match="too short"):
+            to_genpoly(F2Series.zero(11), 1, 5)
+        assert to_genpoly(F2Series.zero(12), 1, 5).is_zero()
 
 
 class TestHeckeOnGenPoly:
@@ -83,6 +99,20 @@ class TestHeckeOnGenPoly:
         assert hecke_on_genpoly(d7, 3) == GenPoly(1, frozenset({5}))
         assert hecke_on_genpoly(d7, 5) == GenPoly(1, frozenset({3}))
         assert hecke_on_genpoly(d7, 7) == GenPoly(1, frozenset({1}))
+
+    def test_image_past_the_degree_bound_raises(self, monkeypatch):
+        # flip the last coefficient of every T_ell image: the re-expression
+        # must see a residual past the bound instead of a longer polynomial
+        t_op = level1.t_op
+
+        def flipped(f, ell):
+            image = t_op(f, ell)
+            last = F2Series.from_support([image.valid_len - 1], image.valid_len)
+            return add(image, last)
+
+        monkeypatch.setattr(level1, "t_op", flipped)
+        with pytest.raises(ValueError, match=r"residual starts at q\^23"):
+            hecke_on_genpoly(GenPoly(1, frozenset({11})), 3)
 
     def test_zero_shortcut(self):
         z = GenPoly(1, frozenset())
