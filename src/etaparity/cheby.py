@@ -7,9 +7,10 @@ n mod 2^(d(a)+1), where d(a) is the binary digit count of a.  The number
 of hitting residue classes in one period is 2^(z(a)-v(a)+1), with z and v
 the zero count and 2-adic valuation of a.
 
-All coefficient parities here are decided by digitwise Kummer logic
-(borrow counting on base-2 digits); no big-integer binomials appear
-outside the test oracles.
+All coefficient parities here are decided by Kummer's theorem on base-2
+digits, v2(C(N,k)) = s(k) + s(N-k) - s(N) with s the digit sum, evaluated
+elementwise on int64 arrays; no big-integer binomials appear outside the
+test oracles.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 INFINITE_VALUATION = math.inf  # 2-adic valuation of zero
-
-
-def _v2(n: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero is infinite")
-    return (n & -n).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -44,45 +41,53 @@ def digit_stats(a: int) -> DigitStats:
         return DigitStats(0, 0, INFINITE_VALUATION, 0, 0)
     d = a.bit_length()
     u = a.bit_count()
-    return DigitStats(a, d, _v2(a), d - u, u)
+    return DigitStats(a, d, (a & -a).bit_length() - 1, d - u, u)
 
 
-def binom_val_eq_n_val(n: int, k: int) -> bool:
+def _v2(n: np.ndarray) -> np.ndarray:
+    """Elementwise 2-adic valuation of positive integers."""
+    return np.bitwise_count((n & -n) - 1)
+
+
+def coeff_xa_in_Sn(a, n):
+    """The bits [x^a] S̄_n, elementwise on int64 arrays a and n (broadcast).
+
+    S_n = sum_j (-1)^j n/(n-j) C(n-j, j) x^(n-2j), so for 1 <= a <= n with
+    a ≡ n (mod 2) and N = (n+a)/2 the coefficient of x^a is (n/N) C(N,a).
+    It is odd exactly when v2(n) + v2(C(N,a)) = v2(N), where by Kummer
+    v2(C(N,a)) = s(a) + s(N-a) - s(N), s the binary digit sum.  Every other
+    coefficient is even: S_0 = 2, the constant terms of S_n are 0 or ±2,
+    and S_n has the parity of n.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    if ((a | n) < 0).any():
+        raise ValueError("a and n must be nonnegative")
+    present = (a >= 1) & (a <= n) & (((a ^ n) & 1) == 0)
+    big = (n + a) >> 1
+    # the digit-sum identity with s(N) moved across, so no unsigned
+    # subtraction wraps where the coefficient is absent
+    return present & (_v2(n) + np.bitwise_count(a) + np.bitwise_count(big - a)
+                      == _v2(big) + np.bitwise_count(big))
+
+
+def binom_val_eq_n_val(n, k):
     """Whether v2(C(n,k)) = v2(n), for odd k, decided on base-2 digits.
 
     For odd k the valuation of C(n,k) is at least v2(n) (the trailing
     zeros of n each force a borrow); equality holds exactly when no other
-    borrow occurs.
+    borrow occurs.  That is the parity of (m/n) C(n,k), the coefficient of
+    x^k in S_m with m = 2n - k odd, so this reads ``coeff_xa_in_Sn``.
+    Elementwise on int64 arrays; a bool for two ints.
     """
-    if k % 2 == 0:
+    n = np.asarray(n, dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    if (k % 2 == 0).any():
         raise ValueError("k must be odd")
-    if not 0 <= k <= n:
+    if ((k < 0) | (k > n)).any():
         raise ValueError("need 0 <= k <= n")
-    if n % 2 == 1:
-        return k & ~n == 0
-    v = _v2(n)
-    if (k >> v) & 1:
-        return False
-    high = ~((1 << (v + 1)) - 1)
-    return k & high & ~n == 0
-
-
-def coeff_xa_in_Sn(a: int, n: int) -> int:
-    """The bit [x^a] S̄_n, via valuation reduction and Kummer borrow logic."""
-    if a < 0 or n < 0:
-        raise ValueError("a and n must be nonnegative")
-    if n == 0:
-        return 0  # S_0 = 2 vanishes mod 2
-    if a > n or (a ^ n) & 1:
-        return 0
-    if a == 0:
-        return 0  # constant terms of S_n are 0 or ±2
-    v = _v2(a)
-    if _v2(n) != v:
-        return 0
-    a >>= v
-    n >>= v
-    return 1 if binom_val_eq_n_val((n + a) // 2, a) else 0
+    equal = coeff_xa_in_Sn(k, 2 * n - k)
+    return bool(equal) if equal.ndim == 0 else equal
 
 
 def combinatorial_count(a: int) -> tuple[int, int, tuple[int, ...]]:
@@ -90,12 +95,12 @@ def combinatorial_count(a: int) -> tuple[int, int, tuple[int, ...]]:
 
     Brute-force enumeration over one full period, using representatives
     n in [a, a + period) so every class is sampled at a degree where the
-    coefficient can be present.  Returns (count, modulus, residues); the
-    count equals 2^(z(a)-v(a)+1).
+    coefficient can be present; the period is read in one array call.
+    Returns (count, modulus, residues); the count equals 2^(z(a)-v(a)+1).
     """
     if a < 1:
         raise ValueError("a must be >= 1")
     modulus = 1 << (digit_stats(a).d + 1)
-    residues = tuple(sorted(
-        n % modulus for n in range(a, a + modulus) if coeff_xa_in_Sn(a, n)))
-    return len(residues), modulus, residues
+    ns = np.arange(a, a + modulus, dtype=np.int64)
+    residues = np.sort(ns[coeff_xa_in_Sn(a, ns)] % modulus)
+    return len(residues), modulus, tuple(residues.tolist())

@@ -99,18 +99,28 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
     return DensityEstimate.from_counts(hits, len(primes))
 
 
+# (direct, formula) of every scan so far, keyed by (r, prime_bound)
+_scans: dict[tuple[int, int], tuple[DensityEstimate, DensityEstimate]] = {}
+
+
 def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstimate]:
     """(direct, formula) parity densities of P_r from one read: the bit of
     pnt^r at k = ((u*ell - b_r)/m_r) mod ell for each prime ell, counted
     at every ell (direct) and where u*ell >= b_r (formula; see the module
-    docstring)."""
+    docstring).  Each (r, prime_bound) is scanned once; a repeat returns
+    the kept result."""
+    got = _scans.get((r, prime_bound))
+    if got is not None:
+        return got
     params = EtaPowerParams.for_power(r)
     m, b = params.m_r, params.b_r
     primes = _scan_primes(prime_bound)
-    u = least_shift(primes, m, b)
-    bits = pnt_power_bits(r, (u * primes - b) // m % primes, prime_bound + 1)
-    return (DensityEstimate.from_counts(int(bits.sum()), len(primes)),
-            DensityEstimate.from_counts(int(bits[u * primes >= b].sum()), len(primes)))
+    shifted = least_shift(primes, m, b) * primes
+    bits = pnt_power_bits(r, (shifted - b) // m % primes, prime_bound + 1)
+    got = _scans[(r, prime_bound)] = (
+        DensityEstimate.from_counts(int(bits.sum()), len(primes)),
+        DensityEstimate.from_counts(int(bits[shifted >= b].sum()), len(primes)))
+    return got
 
 
 def zn(n: int) -> int:

@@ -117,6 +117,10 @@ def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
         residual ^= power_in_q(_LEVEL_GENERATOR[level], e, n).words
 
 
+# every certified image so far, keyed by (form, ell)
+_images: dict[tuple[GenPoly, int], GenPoly] = {}
+
+
 def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
     """Apply T_ell (or U_2 at level 9) to a generator polynomial.
 
@@ -125,9 +129,13 @@ def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
     to 2*ell*(bound+1) coefficients, so the image has 2*(bound+1), and
     to_genpoly re-expresses it at degree <= bound.  An image that is not a
     polynomial within the bound leaves a residual past it and raises.
+    Each (p, ell) is computed once; a repeat returns the kept image.
     """
     if p.is_zero():
         return p
+    got = _images.get((p, ell))
+    if got is not None:
+        return got
     deg = p.degree
     if ell == 2:
         if p.level != 9:
@@ -142,7 +150,8 @@ def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
         bound = deg
         op = t_op
     image = op(genpoly_series(p, 2 * ell * (bound + 1)), ell)
-    return to_genpoly(image, p.level, bound)
+    got = _images[(p, ell)] = to_genpoly(image, p.level, bound)
+    return got
 
 
 def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> np.ndarray:

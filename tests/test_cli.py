@@ -225,6 +225,37 @@ class TestVerify:
         for i in ABELIAN_CLASSES:
             assert calls.count((level9.abelian_form(i), 10_001)) == 1, i
 
+    def test_all_scans_each_r_and_bound_once(self, monkeypatch):
+        # bounds, thmB and thmD ask again for (r, bound) pairs that a suite
+        # before them has scanned: 112 distinct scans answer 184 requests
+        reads = density.pnt_power_bits
+        calls = []
+
+        def counted(r, ks, n):
+            calls.append((r, n))
+            return reads(r, ks, n)
+
+        monkeypatch.setattr(density, "pnt_power_bits", counted)
+        code, _ = run_cli("verify", "--suite", "all")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 112
+
+    def test_dihedral_code_computes_each_image_once(self, monkeypatch):
+        # code_matrix asks for 113 nonzero images, of 41 distinct (form, ell)
+        from etaparity import level1
+        t_op = level1.t_op
+        images = []
+
+        def counted(f, ell):
+            images.append(ell)
+            return t_op(f, ell)
+
+        monkeypatch.setattr(level1, "t_op", counted)
+        code, _ = run_cli("verify", "--suite", "dihedral-code",
+                          "--prime-bound", "10000")
+        assert code == 0
+        assert len(images) <= 41
+
 
 class TestWalk:
     def test_writes_rows(self, tmp_path):

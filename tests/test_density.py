@@ -228,6 +228,23 @@ class TestEtaDensityRoutes:
             d, f = eta_density(r, BOUND)
             assert abs(d.value - f.value) <= 0.02, r
 
+    def test_each_scan_is_kept_under_its_own_bound(self, monkeypatch):
+        reads = density_mod.pnt_power_bits
+        calls = []
+
+        def counted(r, ks, n):
+            calls.append((r, n))
+            return reads(r, ks, n)
+
+        monkeypatch.setattr(density_mod, "pnt_power_bits", counted)
+        low = eta_density(9, 10_000)
+        assert eta_density(9, 10_000) is low
+        high = eta_density(9, 20_000)
+        assert calls == [(9, 10_001), (9, 20_001)]
+        assert high[0].samples == len(prime_array(5, 20_000)) != low[0].samples
+        monkeypatch.setattr(density_mod, "_scans", {})
+        assert eta_density(9, 20_000) == high
+
     def test_hits_match_q_domain_reads_all_r_to_132(self):
         bound = 10_000
         primes = [p for p in trial_division_primes(bound) if p >= 5]

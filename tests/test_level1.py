@@ -114,6 +114,25 @@ class TestHeckeOnGenPoly:
         with pytest.raises(ValueError, match=r"residual starts at q\^23"):
             hecke_on_genpoly(GenPoly(1, frozenset({11})), 3)
 
+    def test_emptied_images_are_certified_again(self, monkeypatch):
+        # a kept image answers a repeat without expanding again; emptied,
+        # the image is computed afresh and the patched T_ell still raises
+        t_op = level1.t_op
+        p = GenPoly(1, frozenset({11}))
+        want = hecke_on_genpoly(p, 3)
+        monkeypatch.setattr(level1, "t_op", None)
+        assert hecke_on_genpoly(p, 3) is want
+
+        def flipped(f, ell):
+            image = t_op(f, ell)
+            last = F2Series.from_support([image.valid_len - 1], image.valid_len)
+            return add(image, last)
+
+        monkeypatch.setattr(level1, "t_op", flipped)
+        monkeypatch.setattr(level1, "_images", {})
+        with pytest.raises(ValueError, match=r"residual starts at q\^23"):
+            hecke_on_genpoly(p, 3)
+
     def test_zero_shortcut(self):
         z = GenPoly(1, frozenset())
         assert hecke_on_genpoly(z, 3) is z
