@@ -71,25 +71,6 @@ def coeff_xa_in_Sn(a, n):
                       == _v2(big) + np.bitwise_count(big))
 
 
-def binom_val_eq_n_val(n, k):
-    """Whether v2(C(n,k)) = v2(n), for odd k, decided on base-2 digits.
-
-    For odd k the valuation of C(n,k) is at least v2(n) (the trailing
-    zeros of n each force a borrow); equality holds exactly when no other
-    borrow occurs.  That is the parity of (m/n) C(n,k), the coefficient of
-    x^k in S_m with m = 2n - k odd, so this reads ``coeff_xa_in_Sn``.
-    Elementwise on int64 arrays; a bool for two ints.
-    """
-    n = np.asarray(n, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    if (k % 2 == 0).any():
-        raise ValueError("k must be odd")
-    if ((k < 0) | (k > n)).any():
-        raise ValueError("need 0 <= k <= n")
-    equal = coeff_xa_in_Sn(k, 2 * n - k)
-    return bool(equal) if equal.ndim == 0 else equal
-
-
 def combinatorial_count(a: int) -> tuple[int, int, tuple[int, ...]]:
     """Residue classes of n mod 2^(d(a)+1) for which x^a appears in S̄_n.
 

@@ -10,6 +10,8 @@ beyond ``valid_len`` are kept zero in the stored representation.
 Instances are immutable after construction; all operations are pure
 functions returning fresh series.  Squaring is exponent dilation
 (``substitute_qk(f, 2)``); generator powers are built in ``genforms``.
+The packed words are private to this module: other modules read
+coefficients through ``bits``, ``coeffs_at`` and ``support``.
 
 ``mul`` is the one product kernel.  It reads the support of the sparser
 operand, which unpacks only nonzero words, and XORs word-aligned slices
@@ -101,11 +103,6 @@ class F2Series:
         if len(bits) < valid_len:
             raise ValueError("fewer bits than valid_len")
         return cls(_pack(bits[:valid_len]), valid_len)
-
-    @property
-    def words(self) -> np.ndarray:
-        """Backing uint64 words (do not mutate)."""
-        return self._words
 
     def bits(self, n: int | None = None) -> np.ndarray:
         """First n (default valid_len) coefficients as a 0/1 uint8 array."""

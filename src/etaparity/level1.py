@@ -99,22 +99,17 @@ def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
         raise ValueError(f"level must be one of {LEVELS}")
     if f.valid_len < 2 * (max_degree + 1):
         raise ValueError("series too short to certify a re-expression to this degree")
-    residual = f.words.copy()
-    n = f.valid_len
+    residual = f
     exponents = []
-    while True:
-        nz = np.nonzero(residual)[0]
-        if not len(nz):
-            return GenPoly(level, frozenset(exponents))
-        w = int(nz[0])
-        low = int(residual[w])
-        e = (w << 6) + (low & -low).bit_length() - 1
+    while not residual.is_zero():
+        e = int(residual.support()[0])
         if e > max_degree:
             raise ValueError(
                 f"not a generator polynomial of degree <= {max_degree} at this "
                 f"precision: residual starts at q^{e}")
         exponents.append(e)
-        residual ^= power_in_q(_LEVEL_GENERATOR[level], e, n).words
+        residual = add(residual, power_in_q(_LEVEL_GENERATOR[level], e, f.valid_len))
+    return GenPoly(level, frozenset(exponents))
 
 
 # every certified image so far, keyed by (form, ell)

@@ -1,15 +1,12 @@
 """Partition parity, the 24-inverse subsequence, and random-walk CSV output.
 
-The parity of p(n) is the n-th coefficient of 1/prod(1-q^k) mod 2.  The
-table is produced by Newton inversion of the pentagonal-number series f:
-g -> f*g(q^2) doubles the trusted length per step, because squaring is
-exponent dilation in characteristic 2.  Each step splits f on exponent
-parity, f = A(q^2) + q*B(q^2), so the even coefficients of f*g(q^2) are
-A*g and the odd ones B*g: two sparse products of half the output length
-on the undilated g, interleaved packed, each byte spread through a
-256-entry table.  The classical pentagonal XOR recurrence holds
-coefficientwise and is asserted in the tests rather than used as the
-engine.
+The parity of p(n) is the n-th coefficient of 1/prod(1-q^k) mod 2, the
+inverse of the pentagonal-number series pnt.  Squaring is exponent
+dilation in characteristic 2, so the inverse is a product of dilated
+copies of pnt, pnt(q^k) for k = 1, 2, 4, ... below n: one sparse product
+per doubling of k, each factor built from the pentagonal exponents alone.
+The classical pentagonal XOR recurrence holds coefficientwise and is
+asserted in the tests rather than used as the engine.
 
 The walk is streamed: the packed parity table is built once, and each
 chunk's steps and running sums are read from it, the sum carried over
@@ -29,54 +26,27 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .f2series import F2Series, _mask_tail, _nwords, mul
+from .f2series import F2Series, mul
 from .genforms import eta_product_pnt, least_shift
 from .primes import prime_array, require_memory
 
 
 def partition_parity(n: int) -> F2Series:
-    """Parities of p(0..n-1) by inverting the pentagonal series mod 2."""
+    """Parities of p(0..n-1): 1/pnt mod 2 as a product of Frobenius images.
+
+    Mod 2, pnt^(2^K) = pnt(q^(2^K)) = 1 + O(q^(2^K)), so once 2^K >= n,
+    1/pnt = pnt^(2^K - 1) = prod_{i<K} pnt(q^(2^i)) mod q^n.  Each factor
+    past the first is the pentagonal support dilated by k = 2^i.
+    """
     if n < 1:
         raise ValueError("need at least one parity")
-    # f = A(q^2) + q*B(q^2), so f*g(q^2) has even part A*g and odd part B*g
-    pent = eta_product_pnt(n).support()
-    half = (n + 1) // 2
-    even = F2Series.from_support(pent[pent % 2 == 0] // 2, half)
-    odd = F2Series.from_support(pent[pent % 2 == 1] // 2, half)
-    g = F2Series.one(1)
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        g = _interleave(mul(even, g, (prec + 1) // 2), mul(odd, g, prec // 2))
+    g = eta_product_pnt(n)
+    pent = g.support()
+    k = 2
+    while k < n:
+        g = mul(g, F2Series.from_support(k * pent[k * pent < n], n), n)
+        k *= 2
     return g
-
-
-@functools.cache
-def _spread_table() -> np.ndarray:
-    """The uint16 ``spread[b]`` for each byte b: bit k of b moved to bit 2k,
-    built on first use."""
-    b = np.arange(256, dtype=np.uint16)
-    spread = sum(((b >> k) & 1) << (2 * k) for k in range(8))
-    spread.flags.writeable = False  # shared by every caller
-    return spread
-
-
-def _interleave(even: F2Series, odd: F2Series) -> F2Series:
-    """The series with bit i of even at 2i and bit i of odd at 2i + 1, valid
-    to even.valid_len + odd.valid_len; odd is at most one bit shorter.
-
-    Each byte of even spreads to a uint16 of the result, and each byte of
-    odd, spread and moved one bit up, is ORed into the same uint16.
-    """
-    n = even.valid_len + odd.valid_len
-    spread = _spread_table()
-    out = spread[even.words.view(np.uint8)]
-    odd_bits = spread[odd.words.view(np.uint8)]
-    odd_bits <<= 1
-    out[:len(odd_bits)] |= odd_bits
-    words = out.view(np.uint64)[:_nwords(n)]
-    _mask_tail(words, n)
-    return F2Series(words, n)
 
 
 def delta_ell(ell):
@@ -117,12 +87,12 @@ _CHUNK_BYTES_PER_ROW = 64
 def _walk_bytes(kind: str, n: int) -> int:
     """A lower estimate of the bytes emit_walk(kind, n) holds at once.
 
-    Building the parity table holds one byte per parity while the
-    pentagonal series is packed from a byte array, more than the Newton
-    steps after it hold (under half a byte per parity).  Writing holds the
-    packed table and one chunk's rows.  "delta-subseq" holds its 8-byte
-    primes throughout, and its table reaches the n-th prime >= 5, which
-    exceeds (n + 2) ln(n + 2) (Rosser).
+    Building the parity table holds one byte per parity while each
+    dilated pentagonal factor is packed from a byte array, beside the
+    packed product (an eighth of a byte per parity); the estimate counts
+    the byte array.  Writing holds the packed table and one chunk's rows.
+    "delta-subseq" holds its 8-byte primes throughout, and its table
+    reaches the n-th prime >= 5, which exceeds (n + 2) ln(n + 2) (Rosser).
     """
     if kind == "all":
         parities, primes = n + 1, 0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etaparity.cheby import (INFINITE_VALUATION, binom_val_eq_n_val,
-                             coeff_xa_in_Sn, combinatorial_count, digit_stats)
+from etaparity.cheby import (INFINITE_VALUATION, coeff_xa_in_Sn,
+                             combinatorial_count, digit_stats)
 
 from oracles import binom_v2, chebyshev_mod2
 
@@ -83,21 +83,19 @@ class TestCoefficientFormula:
 
 
 class TestKummerLogic:
+    # for odd k <= n, v2(C(n, k)) = v2(n) exactly when x^k appears in
+    # S̄_(2n-k), whose coefficient there is ((2n-k)/n) C(n, k)
     def test_examples(self):
-        assert binom_val_eq_n_val(5, 5) is True
-        assert binom_val_eq_n_val(6, 3) is False
-        assert binom_val_eq_n_val(5, 1) is True
-
-    def test_rejects_even_k(self):
-        with pytest.raises(ValueError):
-            binom_val_eq_n_val(6, 2)
+        assert coeff_xa_in_Sn(5, 5)  # n = k = 5
+        assert not coeff_xa_in_Sn(3, 9)  # n = 6, k = 3: v2(20) = 2 > 1
+        assert coeff_xa_in_Sn(1, 9)  # n = 5, k = 1
 
     def test_against_big_integers(self):
         for n in range(1, 65):
             v_n = (n & -n).bit_length() - 1
-            for k in range(1, n + 1, 2):
-                want = binom_v2(n, k) == v_n
-                assert binom_val_eq_n_val(n, k) == want, (n, k)
+            ks = np.arange(1, n + 1, 2)
+            want = [binom_v2(n, int(k)) == v_n for k in ks]
+            assert coeff_xa_in_Sn(ks, 2 * n - ks).tolist() == want, n
 
 
 class TestCombinatorialCount:

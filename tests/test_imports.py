@@ -1,7 +1,9 @@
 """Import layering: every module imports on its own, `primes` is a leaf,
-`density` loads no form-algebra module, only the CLI sets a one-thread
-BLAS, and a CLI command loads only the modules it runs."""
+only `f2series` knows the packed word layout, `density` loads no
+form-algebra module, only the CLI sets a one-thread BLAS, and a CLI command
+loads only the modules it runs."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -46,6 +48,42 @@ def test_primes_imports_no_package_module():
     assert done.returncode == 0, done.stderr
 
 
+def _word_layout_reads(tree: ast.Module) -> list[str]:
+    """What a module's AST knows of f2series internals: underscore names
+    imported from it or read off it, the packed words of any object, and
+    an F2Series built straight from words."""
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_f2 = node.module in ("f2series", "etaparity.f2series")
+            for alias in node.names:
+                if from_f2 and alias.name.startswith("_"):
+                    found.append(f"imports {alias.name}")
+                if node.module in (None, "etaparity") and alias.name == "f2series":
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == "etaparity.f2series" and alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "F2Series":
+            found.append(f"builds F2Series from words at line {node.lineno}")
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr in ("words", "_words"):
+            found.append(f"reads .{node.attr} at line {node.lineno}")
+        elif (node.attr.startswith("_") and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            found.append(f"reads {node.value.id}.{node.attr} at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"f2series"}))
+def test_only_f2series_knows_the_word_layout(module):
+    path = Path(SRC) / "etaparity" / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _word_layout_reads(tree) == []
+
+
 def test_density_loads_no_form_algebra_module():
     done = run_python(
         "import sys\n"
@@ -60,12 +98,9 @@ def test_walks_builds_its_lookup_tables_on_first_use():
         "import numpy as np\n"
         "from etaparity import walks\n"
         "assert walks._lane_tables.cache_info().currsize == 0\n"
-        "assert walks._spread_table.cache_info().currsize == 0\n"
         "one = np.ones(1, dtype=np.int64)\n"
         "assert walks._row_bytes(1, one, one) == b'1,1,1,1.000,2.000\\n'\n"
-        "assert walks._lane_tables.cache_info().currsize == 1\n"
-        "assert walks.partition_parity(3).bits().tolist() == [1, 1, 0]\n"
-        "assert walks._spread_table.cache_info().currsize == 1\n")
+        "assert walks._lane_tables.cache_info().currsize == 1\n")
     assert done.returncode == 0, done.stderr
 
 

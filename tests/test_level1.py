@@ -58,10 +58,21 @@ class TestToGenPoly:
         assert to_genpoly(delta_series(1000), 9, 16).exponents == \
             frozenset({1, 4, 9, 12})
 
-    def test_roundtrip_through_series(self):
-        p = GenPoly(1, frozenset({1, 5, 9}))
-        series = genpoly_series(p, 40)
-        assert to_genpoly(series, 1, 9) == p
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), level=st.sampled_from((1, 9)),
+           exponents=st.frozensets(st.integers(0, 20)))
+    def test_roundtrip_through_series(self, data, level, exponents):
+        # every exponent set reads back from exactly 2*(bound+1) coefficients
+        p = GenPoly(level, exponents)
+        bound = data.draw(st.integers(max(p.degree, 0), 20), label="bound")
+        n = 2 * (bound + 1)
+        series = genpoly_series(p, n)
+        assert to_genpoly(series, level, bound) == p
+        # a coefficient flipped past the bound is what the residual keeps
+        j = data.draw(st.integers(bound + 1, n - 1), label="flip")
+        flipped = add(series, F2Series.from_support([j], n))
+        with pytest.raises(ValueError, match=rf"residual starts at q\^{j}$"):
+            to_genpoly(flipped, level, bound)
 
     def test_degree_violation_diagnostic(self):
         f = F2Series.from_support([2], 20)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import etaparity
 from etaparity import cli, primes, walks
-from etaparity.f2series import F2Series
 from etaparity.genforms import pentagonal_numbers
 from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
                              partition_parity)
@@ -68,27 +67,6 @@ class TestPartitionParity:
         inv = naive_series_inverse_bits(product, 300)
         for n in range(1, 301):
             assert np.array_equal(partition_parity(n).bits(), inv[:n]), n
-
-    @given(st.integers(1, 700).flatmap(
-        lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    @example([1])  # an empty odd half
-    @example([1] * 129)  # the odd half is one word shorter than the even half
-    @example([0, 1] * 64 + [1])
-    @example([1] * 128)
-    def test_interleave_against_packbits(self, bits):
-        # the even and odd halves of bits, interleaved back into the words
-        # that packbits makes of bits
-        bits = np.array(bits, dtype=np.uint8)
-        n = len(bits)
-        got = walks._interleave(F2Series.from_bits(bits[0::2]),
-                                F2Series.from_bits(bits[1::2]))
-        want = np.zeros(8 * ((n + 63) // 64), dtype=np.uint8)
-        packed = np.packbits(bits, bitorder="little")
-        want[:len(packed)] = packed
-        assert got.valid_len == n
-        assert got.words.view(np.uint8).tobytes() == want.tobytes()
-        assert np.array_equal(np.unpackbits(got.words.view(np.uint8), count=n,
-                                             bitorder="little"), bits)
 
     def test_pentagonal_recurrence_holds(self):
         n = 4000
