@@ -21,7 +21,12 @@ the r where a closed form is proven.  For a prime ell let u be
   a dyadic ``fractions.Fraction``, so exact values add exactly.
 
 Every k is below prime_bound + 1, so a scan asks ``genforms`` for the bits
-of pnt^r at those indices (``pnt_power_bits``).
+of pnt^r at those indices (``pnt_power_bits``).  Scans read the primes one
+block of ``_SCAN_BLOCK`` at a time: the shifts, indices and bits of a block
+are its only per-prime arrays, so a scan's working memory is one block
+whatever the prime bound.  Before a scan builds anything it checks, with
+``primes.require_memory``, that the sieve, the packed pnt^o words and one
+block fit in physical memory.
 
 The module reads series through ``genforms`` and primes through
 ``primes`` alone; it loads none of the form-algebra modules ``level1``,
@@ -42,9 +47,16 @@ import numpy as np
 
 from .f2series import F2Series
 from .genforms import EtaPowerParams, least_shift, pnt_power_bits
-from .primes import prime_array
+from .primes import prime_array, require_memory, sieve_bytes
 
 SIGMA_FACTOR = 4.0
+
+# primes per scan block
+_SCAN_BLOCK = 1 << 13
+
+# Bytes a scan block holds per prime, at most: the int64 shift, index and
+# read arrays and their temporaries, and the bits
+_SCAN_BYTES_PER_PRIME = 64
 
 
 class PrecisionError(ValueError):
@@ -89,14 +101,30 @@ def _scan_primes(prime_bound: int) -> np.ndarray:
     return primes
 
 
+def _blocks(primes: np.ndarray):
+    """The primes as consecutive views of at most _SCAN_BLOCK primes."""
+    for lo in range(0, len(primes), _SCAN_BLOCK):
+        yield primes[lo:lo + _SCAN_BLOCK]
+
+
 def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
     """Proportion of primes 5 <= ell <= prime_bound with a_ell(f) = 1."""
     if f.valid_len <= prime_bound:
         raise PrecisionError(
             f"series valid to {f.valid_len} cannot be scanned to {prime_bound}")
     primes = _scan_primes(prime_bound)
-    hits = int(f.coeffs_at(primes).sum())
+    hits = sum(int(f.coeffs_at(block).sum()) for block in _blocks(primes))
     return DensityEstimate.from_counts(hits, len(primes))
+
+
+def _scan_bytes(r: int, prime_bound: int) -> int:
+    """The bytes that eta_density(r, prime_bound) holds, about: the sieve
+    to prime_bound, the packed words of pnt^o for r = 2^v * o, which has
+    about (prime_bound + 1) / 2^v coefficients, and one scan block."""
+    v = (r & -r).bit_length() - 1
+    words = 8 * ((prime_bound >> v) // 64 + 1)
+    block = _SCAN_BYTES_PER_PRIME * min(_SCAN_BLOCK, prime_bound)
+    return sieve_bytes(prime_bound) + words + block
 
 
 # (direct, formula) of every scan so far, keyed by (r, prime_bound)
@@ -107,19 +135,27 @@ def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstim
     """(direct, formula) parity densities of P_r from one read: the bit of
     pnt^r at k = ((u*ell - b_r)/m_r) mod ell for each prime ell, counted
     at every ell (direct) and where u*ell >= b_r (formula; see the module
-    docstring).  Each (r, prime_bound) is scanned once; a repeat returns
-    the kept result."""
+    docstring), one block of primes at a time.  Each (r, prime_bound) is
+    scanned once; a repeat returns the kept result.  A scan whose estimated
+    size exceeds physical memory raises MemoryError before anything is
+    built."""
     got = _scans.get((r, prime_bound))
     if got is not None:
         return got
     params = EtaPowerParams.for_power(r)
     m, b = params.m_r, params.b_r
+    require_memory(_scan_bytes(r, prime_bound),
+                   f"a scan of P_{r} to prime bound {prime_bound} needs about")
     primes = _scan_primes(prime_bound)
-    shifted = least_shift(primes, m, b) * primes
-    bits = pnt_power_bits(r, (shifted - b) // m % primes, prime_bound + 1)
+    direct = formula = 0
+    for ell in _blocks(primes):
+        shifted = least_shift(ell, m, b) * ell
+        bits = pnt_power_bits(r, (shifted - b) // m % ell, prime_bound + 1)
+        direct += int(bits.sum())
+        formula += int(bits[shifted >= b].sum())
     got = _scans[(r, prime_bound)] = (
-        DensityEstimate.from_counts(int(bits.sum()), len(primes)),
-        DensityEstimate.from_counts(int(bits[shifted >= b].sum()), len(primes)))
+        DensityEstimate.from_counts(direct, len(primes)),
+        DensityEstimate.from_counts(formula, len(primes)))
     return got
 
 

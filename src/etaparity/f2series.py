@@ -13,10 +13,16 @@ functions returning fresh series.  Squaring is exponent dilation
 The packed words are private to this module: other modules read
 coefficients through ``bits``, ``coeffs_at`` and ``support``.
 
+Construction never stages a byte per coefficient: ``from_support`` ORs
+each exponent's bit into zeroed words, and ``from_bits`` packs its input
+one block of ``_BLOCK`` coefficients at a time into the word buffer.
+
 ``mul`` is the one product kernel.  It reads the support of the sparser
 operand, which unpacks only nonzero words, and XORs word-aligned slices
 of the denser operand's words into the product, from one scratch copy
-pre-shifted to each bit offset in turn.
+pre-shifted to each bit offset in turn.  The carry between words is
+ORed in by blocks of ``_BLOCK // 8`` words, so a product holds the
+accumulator, that one dense-length scratch copy and a 64 KB block.
 """
 
 from __future__ import annotations
@@ -26,6 +32,12 @@ from itertools import groupby
 import numpy as np
 
 _WORD = 64
+
+# The bytes of scratch a blocked pass holds: from_bits packs this many
+# coefficients at a time, and mul ORs carries into this many bytes of
+# words.  It is below glibc's default mmap threshold (128 KB), so a pass's
+# scratch comes from the heap.
+_BLOCK = 1 << 16
 
 
 def _nwords(nbits: int) -> int:
@@ -38,15 +50,6 @@ def _mask_tail(words: np.ndarray, nbits: int) -> None:
         words[-1] &= np.uint64((1 << rem) - 1)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """0/1 uint8 array -> uint64 words, bit n of the stream = bits[n]."""
-    nw = _nwords(len(bits))
-    packed = np.packbits(bits, bitorder="little")
-    buf = np.zeros(nw * 8, dtype=np.uint8)
-    buf[: len(packed)] = packed
-    return buf.view(np.uint64)
-
-
 def _bit_offset(e: int) -> int:
     return e & 63
 
@@ -56,6 +59,17 @@ def _xor_shifted(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
     to the length of dst (src is at least as long): one slice XOR."""
     view = dst[shift >> 6:]
     view ^= src[:len(view)]
+
+
+def _or_carry(dst: np.ndarray, src: np.ndarray, shift: int,
+              scratch: np.ndarray) -> None:
+    """dst[w] |= src[w - 1] >> shift for every word w >= 1, one scratch
+    block at a time: the carry of a left shift by 64 - shift bits."""
+    step = len(scratch)
+    for lo in range(1, len(dst), step):
+        part = scratch[:min(step, len(dst) - lo)]
+        np.right_shift(src[lo - 1:lo - 1 + len(part)], shift, out=part)
+        dst[lo:lo + len(part)] |= part
 
 
 class F2Series:
@@ -87,22 +101,37 @@ class F2Series:
 
     @classmethod
     def from_support(cls, exponents, valid_len: int) -> "F2Series":
-        """Series with coefficient 1 exactly at the given exponents."""
+        """Series with coefficient 1 exactly at the given exponents.
+
+        Each exponent's bit is ORed into zeroed words, so a repeated
+        exponent sets its bit once; besides the words this holds two int64
+        arrays the size of the exponents (word indices and bit masks).
+        """
         idx = np.asarray(exponents, dtype=np.int64).ravel()
         if idx.size and (idx.min() < 0 or idx.max() >= valid_len):
             raise ValueError("exponent outside [0, valid_len)")
-        bits = np.zeros(valid_len, dtype=np.uint8)
-        bits[idx] = 1
-        return cls(_pack(bits), valid_len)
+        words = np.zeros(_nwords(valid_len), dtype=np.uint64)
+        masks = (idx & 63).view(np.uint64)
+        np.left_shift(np.uint64(1), masks, out=masks)
+        np.bitwise_or.at(words, idx >> 6, masks)
+        return cls(words, valid_len)
 
     @classmethod
-    def from_bits(cls, bits: np.ndarray, valid_len: int | None = None) -> "F2Series":
-        bits = np.asarray(bits, dtype=np.uint8) & 1
+    def from_bits(cls, bits, valid_len: int | None = None) -> "F2Series":
+        """Series whose coefficient n is bits[n] & 1, for n < valid_len
+        (default len(bits)), packed one block at a time."""
+        bits = np.asarray(bits)
         if valid_len is None:
             valid_len = len(bits)
         if len(bits) < valid_len:
             raise ValueError("fewer bits than valid_len")
-        return cls(_pack(bits[:valid_len]), valid_len)
+        words = np.zeros(_nwords(valid_len), dtype=np.uint64)
+        dest = words.view(np.uint8)
+        for lo in range(0, valid_len, _BLOCK):
+            block = np.asarray(bits[lo:min(lo + _BLOCK, valid_len)], dtype=np.uint8)
+            packed = np.packbits(block & 1, bitorder="little")
+            dest[lo >> 3:(lo >> 3) + len(packed)] = packed
+        return cls(words, valid_len)
 
     def bits(self, n: int | None = None) -> np.ndarray:
         """First n (default valid_len) coefficients as a 0/1 uint8 array."""
@@ -210,11 +239,12 @@ def mul(f: F2Series, g: F2Series, n_out: int | None = None) -> F2Series:
     product in the package has a theta-type factor (support O(sqrt(N))),
     so the shift count stays near sqrt(n).  The sparse exponents are
     grouped by bit offset b = e & 63.  For each offset that occurs, one
-    scratch copy of the dense words is shifted left by b bits, with the
-    carry from the word below, and each exponent of the group XORs that
-    copy in at word offset (e - b) / 64: at most 64 shift passes and one
-    word-aligned slice XOR per exponent.  XOR is order-free, so the
-    grouping leaves the bits unchanged.
+    scratch copy of the dense words is shifted left by b bits, the carry
+    from the word below is ORed in block by block (``_or_carry``), and
+    each exponent of the group XORs that copy in at word offset
+    (e - b) / 64: at most 64 shift passes and one word-aligned slice XOR
+    per exponent.  XOR is order-free, so the grouping leaves the bits
+    unchanged.
     """
     n = min(f.valid_len, g.valid_len)
     if n_out is not None:
@@ -225,12 +255,12 @@ def mul(f: F2Series, g: F2Series, n_out: int | None = None) -> F2Series:
     acc = np.zeros(_nwords(n), dtype=np.uint64)
     dwords = dense._words[:_nwords(n)]
     shifted = np.empty_like(dwords)
-    carry_from, carry_to = dwords[:-1], shifted[1:]
+    carry = np.empty(min(len(dwords), _BLOCK // 8), dtype=np.uint64)
     exps = sorted(sparse.support(n).tolist(), key=_bit_offset)
     for b, group in groupby(exps, key=_bit_offset):
         np.left_shift(dwords, b, out=shifted)
-        # the carry from the word below; numpy shifts by 64 to zero (b = 0)
-        carry_to |= carry_from >> (64 - b)
+        if b:
+            _or_carry(shifted, dwords, 64 - b, carry)
         for e in group:
             _xor_shifted(acc, shifted, e - b)
     # bits of dense at or past n land at or past n, and only here are cut

@@ -233,6 +233,6 @@ def congruence_theta(spec: CongruenceTheta, n: int) -> F2Series:
     if not len(ms) or not len(ns):
         return F2Series.zero(n)
     exps = (spec.a * ms[:, None] ** 2 + spec.b * ns[None, :] ** 2).ravel()
-    exps = exps[exps < n]
-    counts = np.bincount(exps, minlength=n)
-    return F2Series.from_bits((counts & 1).astype(np.uint8), n)
+    # an exponent is in the support when it has an odd number of representations
+    exps, counts = np.unique(exps[exps < n], return_counts=True)
+    return F2Series.from_support(exps[counts & 1 == 1], n)

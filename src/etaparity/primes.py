@@ -31,7 +31,7 @@ def require_memory(need: int, what: str) -> None:
                           f"{have >> 20} MB of physical memory")
 
 
-def _sieve_bytes(bound: int) -> int:
+def sieve_bytes(bound: int) -> int:
     """The bytes that sieve(bound) allocates: one flag per odd integer up to
     bound, and 8 per prime, counted with pi(x) < 1.25506 x / ln x for x > 1
     (Rosser and Schoenfeld, 1962)."""
@@ -46,7 +46,7 @@ def sieve(bound: int) -> np.ndarray:
     bound whose flags and primes exceed physical memory raises MemoryError
     before anything is allocated.
     """
-    require_memory(_sieve_bytes(bound), f"sieving primes to {bound} needs about")
+    require_memory(sieve_bytes(bound), f"sieving primes to {bound} needs about")
     if bound < 2:
         primes = np.zeros(0, dtype=np.int64)
     else:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, and the exit-code contract."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -20,6 +21,7 @@ from etaparity import cli, density, primes, suites, walks
 from etaparity.cli import main
 from etaparity.f2series import F2Series
 from etaparity.level9 import ABELIAN_CLASSES
+from etaparity.primes import prime_array
 
 
 def run_cli(*argv):
@@ -227,18 +229,31 @@ class TestVerify:
 
     def test_all_scans_each_r_and_bound_once(self, monkeypatch):
         # bounds, thmB and thmD ask again for (r, bound) pairs that a suite
-        # before them has scanned: 112 distinct scans answer 184 requests
-        reads = density.pnt_power_bits
-        calls = []
+        # before them has scanned: 112 distinct scans answer 184 requests.
+        # A scan reads pnt^r one block of primes at a time, so its reads
+        # are summed per (r, n) = (r, bound + 1).
+        reads, scan = density.pnt_power_bits, density.eta_density
+        requests = []
+        read = collections.Counter()
 
         def counted(r, ks, n):
-            calls.append((r, n))
+            read[(r, n)] += len(ks)
             return reads(r, ks, n)
 
+        def requested(r, prime_bound):
+            requests.append((r, prime_bound))
+            return scan(r, prime_bound)
+
         monkeypatch.setattr(density, "pnt_power_bits", counted)
+        monkeypatch.setattr(density, "eta_density", requested)
         code, _ = run_cli("verify", "--suite", "all")
         assert code == 0
-        assert len(calls) == len(set(calls)) == 112
+        assert len(requests) == 184
+        assert set(read) == {(r, bound + 1) for r, bound in requests}
+        assert len(read) == 112
+        # each scan reads each of its primes exactly once
+        for (r, n), count in read.items():
+            assert count == len(prime_array(5, n - 1)), (r, n)
 
     def test_dihedral_code_computes_each_image_once(self, monkeypatch):
         # code_matrix asks for 113 nonzero images, of 41 distinct (form, ell)
@@ -343,6 +358,20 @@ def test_unwritable_density_out_fails_before_scanning(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "No such file or directory" in err
     assert repr(str(out)) in err and ".tmp" not in err
+
+
+def test_too_large_scan_exits_two_before_building(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("built despite the memory check")
+
+    # the sieve to 10^6 alone needs about 1.2 MB
+    monkeypatch.setattr(primes, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(primes, "sieve", must_not_run)
+    monkeypatch.setattr(density, "pnt_power_bits", must_not_run)
+    assert exit_code(["density", "--r", "127", "--prime-bound", "1000000",
+                      "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "physical memory" in err and "P_127" in err
 
 
 def test_failed_density_run_creates_no_out(tmp_path):

@@ -1,6 +1,7 @@
 """Prime scans, the shift index, both empirical routes, and exact values."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,34 @@ class TestEtaDensityRoutes:
             p = EtaPowerParams.for_power(r)
             p_r_series(r, p.b_r + 64 * p.m_r)
         assert set(requests) == odd_parts
+
+    def test_blocks_add_up_to_one_pass(self, monkeypatch):
+        # 100-prime blocks, so a scan to 10^4 (1227 primes) takes 13
+        bound = 10_000
+        whole = {r: eta_density(r, bound) for r in (1, 5, 18, 72, 127)}
+        f = delta_series(bound + 1)
+        one_pass = odd_coeff_density(f, bound)
+        monkeypatch.setattr(density_mod, "_SCAN_BLOCK", 100)
+        monkeypatch.setattr(density_mod, "_scans", {})
+        assert {r: eta_density(r, bound) for r in whole} == whole
+        assert odd_coeff_density(f, bound) == one_pass
+
+    def test_scan_transient_does_not_grow_with_the_bound(self):
+        # beyond the pnt power and the primes that stay cached, a scan holds
+        # one block of primes at a time, whatever the bound
+        transients = []
+        for bound in (10**5, 10**6):
+            eta_density(127, bound)  # builds and caches pnt^127, sieves
+            del density_mod._scans[(127, bound)]
+            tracemalloc.start()
+            try:
+                eta_density(127, bound)
+                transients.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = transients
+        assert large < 1.25 * small
+        assert large < density_mod._SCAN_BYTES_PER_PRIME * density_mod._SCAN_BLOCK
 
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):

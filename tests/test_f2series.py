@@ -1,5 +1,7 @@
 """The packed-bit series engine: examples, oracles, and algebraic laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from etaparity import f2series
 from etaparity.f2series import F2Series, add, mul, substitute_qk
-from etaparity.genforms import c_series, delta_series, eta_product_pnt
+from etaparity.genforms import (c_series, delta_series, eta_product_pnt,
+                                pentagonal_numbers)
 
 from oracles import conv_mod2, odd_square_triple_parity, square_and_multiply
 
@@ -33,6 +36,32 @@ class TestConstruction:
             F2Series.from_support([10], 10)
         with pytest.raises(ValueError):
             F2Series.from_support([-1], 10)
+
+    def test_from_support_holds_no_byte_per_coefficient(self):
+        # 10^7 coefficients pack into 1.25 MB of words; staging a byte per
+        # coefficient would add 10 MB
+        n = 10**7
+        pent = pentagonal_numbers(n)
+        tracemalloc.start()
+        try:
+            f = F2Series.from_support(pent, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (8 * -(-n // 64) + pent.nbytes)
+        assert np.array_equal(f.support(), pent)
+
+    def test_from_support_keeps_repeats_once(self):
+        assert support_list(F2Series.from_support([3, 70, 3, 0, 70], 71)) == [0, 3, 70]
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
+    def test_from_bits_packs_block_by_block(self, rng, monkeypatch, n):
+        # 128-coefficient blocks, so every n past 128 spans several
+        monkeypatch.setattr(f2series, "_BLOCK", 128)
+        values = rng.integers(0, 4, size=n + 5)
+        f = F2Series.from_bits(values, n)
+        assert f.valid_len == n
+        assert np.array_equal(f.bits(), values[:n] & 1)
 
     def test_coeff_guard(self):
         f = F2Series.from_support([3], 10)
@@ -73,6 +102,22 @@ class TestAdd:
     @given(series_strategy(), series_strategy())
     def test_valid_len(self, f, g):
         assert add(f, g).valid_len == min(f.valid_len, g.valid_len)
+
+
+def every_bit_offset_against_convolution(rng):
+    """mul of a sparse f with three exponents at each bit offset, and 0 and
+    n - 1, against a dense random g, both ways round."""
+    n = 64 * 40 + 17
+    exps = {0, n - 1}
+    for b in range(64):
+        exps.update((64 * rng.choice(40, size=3, replace=False) + b).tolist())
+    f = F2Series.from_support(sorted(exps), n)
+    gb = (rng.random(n) < 0.5).astype(np.uint8)
+    g = F2Series.from_bits(gb)
+    assert f.support_size() < g.support_size()
+    want = conv_mod2(f.bits(), gb, n)
+    assert np.array_equal(mul(f, g).bits(), want)
+    assert np.array_equal(mul(g, f).bits(), want)
 
 
 class TestMul:
@@ -142,17 +187,13 @@ class TestMul:
         # several exponents at each of the 64 bit offsets, 0 and n - 1 among
         # them, so every pre-shifted copy and its carry from the word below
         # reach the product
-        n = 64 * 40 + 17
-        exps = {0, n - 1}
-        for b in range(64):
-            exps.update((64 * rng.choice(40, size=3, replace=False) + b).tolist())
-        f = F2Series.from_support(sorted(exps), n)
-        gb = (rng.random(n) < 0.5).astype(np.uint8)
-        g = F2Series.from_bits(gb)
-        assert f.support_size() < g.support_size()
-        want = conv_mod2(f.bits(), gb, n)
-        assert np.array_equal(mul(f, g).bits(), want)
-        assert np.array_equal(mul(g, f).bits(), want)
+        every_bit_offset_against_convolution(rng)
+
+    def test_carry_crosses_scratch_blocks(self, rng, monkeypatch):
+        # 16-word carry blocks, so the carry into the 41 words of the
+        # product is ORed in three blocks
+        monkeypatch.setattr(f2series, "_BLOCK", 128)
+        every_bit_offset_against_convolution(rng)
 
     @pytest.mark.parametrize("n", [5, 37, 64])
     def test_single_word_against_convolution(self, rng, n):

@@ -99,7 +99,7 @@ def test_walks_builds_its_lookup_tables_on_first_use():
         "from etaparity import walks\n"
         "assert walks._lane_tables.cache_info().currsize == 0\n"
         "one = np.ones(1, dtype=np.int64)\n"
-        "assert walks._row_bytes(1, one, one) == b'1,1,1,1.000,2.000\\n'\n"
+        "assert walks._row_bytes(1, one, one, bytearray()) == b'1,1,1,1.000,2.000\\n'\n"
         "assert walks._lane_tables.cache_info().currsize == 1\n")
     assert done.returncode == 0, done.stderr
 

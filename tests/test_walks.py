@@ -166,26 +166,28 @@ class TestWalks:
 
 
 def cell_strings(pieces, count) -> list[str]:
-    rows = walks._rows(pieces, count)
+    rows = walks._rows(pieces, count, bytearray())
     return [bytes(row[row != 0]).decode() for row in rows]
 
 
 class TestWalkWriter:
     """The numpy row writer against the f-string rows that define the format."""
 
-    # the chunk edges of the current chunk size, and those of 16384-row
-    # chunks, which stay as sizes spanning several chunks
+    # the chunk edges of the current chunk size, and those of 8192- and
+    # 16384-row chunks, which stay as sizes spanning several chunks
     @pytest.mark.parametrize("n", sorted({
-        1, 9, 10, 99, 100, 16383, 16384, 16385, 49159,
+        1, 9, 10, 99, 100, 8191, 8192, 8193, 24583, 16383, 16384, 16385, 49159,
         walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7}))
     def test_all_walk_bytes(self, n, tmp_path):
         out = tmp_path / "walk.csv"
         write_walk("all", n, out)
         assert out.read_bytes() == walk_csv_reference(*walk_arrays("all", n))
 
-    # the running sum carried across chunk edges
-    @pytest.mark.parametrize("n", [
-        5000, walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7])
+    # the running sum carried across the chunk edges of the current chunk
+    # size and of 8192-row chunks
+    @pytest.mark.parametrize("n", sorted({
+        5000, 8191, 8192, 8193, 24583,
+        walks._CHUNK - 1, walks._CHUNK, walks._CHUNK + 1, 3 * walks._CHUNK + 7}))
     def test_delta_subseq_bytes(self, n, tmp_path):
         out = tmp_path / "walk.csv"
         write_walk("delta-subseq", n, out)
@@ -221,7 +223,7 @@ class TestWalkWriter:
         # steps and sums rather than a built walk
         sums = np.array([-99_999, 99_999, -10**6, 10**6, 0, -1, 1], dtype=np.int64)
         steps = np.array([1, -1] * 3 + [1], dtype=np.int64)
-        got = walks._row_bytes(first, steps, sums)
+        got = walks._row_bytes(first, steps, sums, bytearray())
         assert got == walk_rows_reference(first, steps, sums)
 
 
