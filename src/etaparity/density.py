@@ -21,12 +21,15 @@ the r where a closed form is proven.  For a prime ell let u be
   a dyadic ``fractions.Fraction``, so exact values add exactly.
 
 Every k is below prime_bound + 1, so a scan asks ``genforms`` for the bits
-of pnt^r at those indices (``pnt_power_bits``).  Scans read the primes one
-block of ``_SCAN_BLOCK`` at a time: the shifts, indices and bits of a block
-are its only per-prime arrays, so a scan's working memory is one block
-whatever the prime bound.  Before a scan builds anything it checks, with
-``primes.require_memory``, that the sieve, the packed pnt^o words and one
-block fit in physical memory.
+of pnt^r at those indices (``pnt_power_bits``).  Scans read the primes
+as the blocks of ``primes.prime_blocks``, at most ``BLOCK_PRIMES`` int64
+primes decoded at a time from the table's one byte per prime.  u depends
+on ell mod m_r alone, so a scan takes it from a 24-entry table indexed by
+ell mod 24 and forms the indices of a block in place.  The indices and
+bits of a block are its only per-prime arrays, so a scan's working memory
+is one block whatever the prime bound.  Before a scan builds anything it
+checks, with ``primes.require_memory``, that the prime table, the packed
+pnt^o words and one block fit in physical memory.
 
 The module reads series through ``genforms`` and primes through
 ``primes`` alone; it loads none of the form-algebra modules ``level1``,
@@ -47,15 +50,12 @@ import numpy as np
 
 from .f2series import F2Series
 from .genforms import EtaPowerParams, least_shift, pnt_power_bits
-from .primes import prime_array, require_memory, sieve_bytes
+from .primes import BLOCK_PRIMES, prime_blocks, require_memory, sieve_bytes
 
 SIGMA_FACTOR = 4.0
 
-# primes per scan block
-_SCAN_BLOCK = 1 << 13
-
-# Bytes a scan block holds per prime, at most: the int64 shift, index and
-# read arrays and their temporaries, and the bits
+# Bytes a scan block holds per prime, at most: the decoded int64 primes,
+# the int64 indices and residues, pnt_power_bits' temporaries, and the bits
 _SCAN_BYTES_PER_PRIME = 64
 
 
@@ -93,18 +93,10 @@ class DensityEstimate:
         return SIGMA_FACTOR * self.sigma
 
 
-def _scan_primes(prime_bound: int) -> np.ndarray:
-    primes = prime_array(5, prime_bound)
-    if not len(primes):
+def _check_scan(prime_bound: int) -> None:
+    if prime_bound < 5:
         raise EmptyScanError(
             f"a scan to prime bound {prime_bound} covers no primes ell >= 5")
-    return primes
-
-
-def _blocks(primes: np.ndarray):
-    """The primes as consecutive views of at most _SCAN_BLOCK primes."""
-    for lo in range(0, len(primes), _SCAN_BLOCK):
-        yield primes[lo:lo + _SCAN_BLOCK]
 
 
 def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
@@ -112,18 +104,22 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
     if f.valid_len <= prime_bound:
         raise PrecisionError(
             f"series valid to {f.valid_len} cannot be scanned to {prime_bound}")
-    primes = _scan_primes(prime_bound)
-    hits = sum(int(f.coeffs_at(block).sum()) for block in _blocks(primes))
-    return DensityEstimate.from_counts(hits, len(primes))
+    _check_scan(prime_bound)
+    hits = samples = 0
+    for ell in prime_blocks(5, prime_bound):
+        hits += int(f.coeffs_at(ell).sum())
+        samples += len(ell)
+    return DensityEstimate.from_counts(hits, samples)
 
 
 def _scan_bytes(r: int, prime_bound: int) -> int:
-    """The bytes that eta_density(r, prime_bound) holds, about: the sieve
-    to prime_bound, the packed words of pnt^o for r = 2^v * o, which has
+    """The bytes that eta_density(r, prime_bound) holds, about: the prime
+    table to prime_bound (one segment of flags while it is sieved and one
+    byte per prime), the packed words of pnt^o for r = 2^v * o, which has
     about (prime_bound + 1) / 2^v coefficients, and one scan block."""
     v = (r & -r).bit_length() - 1
     words = 8 * ((prime_bound >> v) // 64 + 1)
-    block = _SCAN_BYTES_PER_PRIME * min(_SCAN_BLOCK, prime_bound)
+    block = _SCAN_BYTES_PER_PRIME * min(BLOCK_PRIMES, prime_bound)
     return sieve_bytes(prime_bound) + words + block
 
 
@@ -146,16 +142,35 @@ def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstim
     m, b = params.m_r, params.b_r
     require_memory(_scan_bytes(r, prime_bound),
                    f"a scan of P_{r} to prime bound {prime_bound} needs about")
-    primes = _scan_primes(prime_bound)
-    direct = formula = 0
-    for ell in _blocks(primes):
-        shifted = least_shift(ell, m, b) * ell
-        bits = pnt_power_bits(r, (shifted - b) // m % ell, prime_bound + 1)
-        direct += int(bits.sum())
-        formula += int(bits[shifted >= b].sum())
+    _check_scan(prime_bound)
+    # u for each ell mod 24: m divides 24, so ell mod 24 fixes ell mod m
+    shift = least_shift(np.arange(24, dtype=np.int64), m, b)
+    direct = formula = samples = 0
+    for ell in prime_blocks(5, prime_bound):
+        # k = u*ell - b, with ell mod 24 taken as ell - 24 (ell // 24):
+        # numpy divides by a constant faster than it takes a remainder
+        k = ell // 24
+        k *= -24
+        k += ell
+        k = shift[k]
+        k *= ell
+        k -= b
+        # (u*ell - b)/m lies in [0, ell) where u*ell >= b; only ell < b can
+        # have u*ell < b, and there the index wraps mod ell and the formula
+        # row reads no bit
+        head = int(np.searchsorted(ell, b))
+        below = k[:head] < 0
+        k //= m
+        np.remainder(k[:head], ell[:head], out=k[:head])
+        bits = pnt_power_bits(r, k, prime_bound + 1)
+        hits = int(bits.sum())
+        direct += hits
+        formula += hits - int(bits[:head][below].sum())
+        samples += len(ell)
+        del k, bits, below  # not held beside the next block's arrays
     got = _scans[(r, prime_bound)] = (
-        DensityEstimate.from_counts(direct, len(primes)),
-        DensityEstimate.from_counts(formula, len(primes)))
+        DensityEstimate.from_counts(direct, samples),
+        DensityEstimate.from_counts(formula, samples))
     return got
 
 

@@ -16,6 +16,9 @@ coefficients through ``bits``, ``coeffs_at`` and ``support``.
 Construction never stages a byte per coefficient: ``from_support`` ORs
 each exponent's bit into zeroed words, and ``from_bits`` packs its input
 one block of ``_BLOCK`` coefficients at a time into the word buffer.
+``every`` (coefficient extraction, the left inverse of ``substitute_qk``)
+unpacks its source one span of about ``_BLOCK`` coefficients at a time
+and packs the bits it keeps straight into the result.
 
 ``mul`` is the one product kernel.  It reads the support of the sparser
 operand, which unpacks only nonzero words, and XORs word-aligned slices
@@ -33,10 +36,10 @@ import numpy as np
 
 _WORD = 64
 
-# The bytes of scratch a blocked pass holds: from_bits packs this many
-# coefficients at a time, and mul ORs carries into this many bytes of
-# words.  It is below glibc's default mmap threshold (128 KB), so a pass's
-# scratch comes from the heap.
+# The bytes of scratch a blocked pass holds: from_bits packs and every
+# unpacks about this many coefficients at a time, and mul ORs carries into
+# this many bytes of words.  It is below glibc's default mmap threshold
+# (128 KB), so a pass's scratch comes from the heap.
 _BLOCK = 1 << 16
 
 
@@ -277,3 +280,30 @@ def substitute_qk(f: F2Series, k: int, n_out: int | None = None) -> F2Series:
         return f.truncate(n)
     idx = f.support() * k
     return F2Series.from_support(idx[idx < n], n)
+
+
+def every(f: F2Series, k: int, n: int) -> F2Series:
+    """Coefficient extraction: a_i(result) = a_(k*i)(f) for 0 <= i < n,
+    valid to n, where k*(n - 1) < f.valid_len.
+
+    Each pass unpacks the source bytes that span a run of result
+    coefficients, a multiple of 8 of them with about _BLOCK source
+    coefficients between the first and the last (8 for k > _BLOCK / 8),
+    and packs every k-th into whole bytes of the result.
+    """
+    if k < 1 or n < 0 or k * (n - 1) >= f.valid_len:
+        raise ValueError(f"a_(k*i) for k = {k} and i < {n} is not all "
+                         f"below valid_len {f.valid_len}")
+    words = np.zeros(_nwords(n), dtype=np.uint64)
+    dest = words.view(np.uint8)
+    src = f._words.view(np.uint8)
+    run = max(8, _BLOCK // k & -8)
+    for lo in range(0, n, run):
+        hi = min(lo + run, n)
+        first, last = k * lo, k * (hi - 1)
+        bits = np.unpackbits(src[first >> 3:(last >> 3) + 1], bitorder="little")
+        # packbits is several times faster on a contiguous copy
+        kept = bits[first & 7::k][:hi - lo].copy()
+        dest[lo >> 3:(hi + 7) >> 3] = np.packbits(kept, bitorder="little")
+        del bits, kept  # not held beside the next pass's bits
+    return F2Series(words, n)

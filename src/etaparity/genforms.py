@@ -200,6 +200,8 @@ def pnt_power_bits(r: int, ks: np.ndarray, n: int) -> np.ndarray:
     """The bits of pnt^r at the indices ks, each in [0, n): that of pnt^o
     at k >> v where 2^v | k, and zero elsewhere."""
     h, v = _odd_power("C", r, n)
+    if not v:
+        return h.coeffs_at(ks)
     bits = np.zeros(len(ks), dtype=np.uint8)
     on = (ks & ((1 << v) - 1)) == 0
     bits[on] = h.coeffs_at(ks[on] >> v)

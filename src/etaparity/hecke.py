@@ -8,7 +8,7 @@ and T divide the valid length by ell and never fetch more coefficients.
 
 from __future__ import annotations
 
-from .f2series import F2Series, add, substitute_qk
+from .f2series import F2Series, add, every, substitute_qk
 from .primes import is_prime
 
 
@@ -16,8 +16,7 @@ def u_op(f: F2Series, ell: int) -> F2Series:
     """Coefficient extraction: a_n(result) = a_{ell*n}(f); valid_len = floor(valid/ell)."""
     if ell < 2:
         raise ValueError("U index must be >= 2")
-    n = f.valid_len // ell
-    return F2Series.from_bits(f.bits()[::ell][:n], n)
+    return every(f, ell, f.valid_len // ell)
 
 
 def t_op(f: F2Series, ell: int) -> F2Series:

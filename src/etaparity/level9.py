@@ -18,7 +18,7 @@ from .f2series import F2Series
 from .genforms import CongruenceTheta, congruence_theta
 from .hecke import u_op
 from .level1 import GenPoly, genpoly_pow, genpoly_series
-from .primes import prime_array
+from .primes import prime_blocks
 
 _ODD = (2, frozenset({1}))
 _PRIME_TO_3 = (3, frozenset({1, 2}))
@@ -110,8 +110,10 @@ def abelian_theta_agrees(i: int) -> bool:
 
 def verify_abelian_law(i: int, series: F2Series) -> list[int]:
     """Primes 5 <= ell < series.valid_len where the bits of a series of
-    alpha_i violate a_ell(alpha_i) = [ell ≡ i mod 24]."""
-    primes = prime_array(5, series.valid_len - 1)
-    bits = series.coeffs_at(primes)
-    want = (primes % 24 == i).astype(np.uint8)
-    return [int(p) for p in primes[bits != want]]
+    alpha_i violate a_ell(alpha_i) = [ell ≡ i mod 24], read one block of
+    primes at a time."""
+    bad = []
+    for primes in prime_blocks(5, series.valid_len - 1):
+        want = (primes % 24 == i).view(np.uint8)
+        bad += primes[series.coeffs_at(primes) != want].tolist()
+    return bad

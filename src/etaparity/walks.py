@@ -11,6 +11,10 @@ asserted in the tests rather than used as the engine.
 The walk is streamed: the packed parity table is built once, and each
 chunk's steps and running sums are read from it, the sum carried over
 from the chunks before, so no array of one entry per step is ever held.
+The 24-inverse walk reads its primes as the blocks of
+``primes.prime_blocks``: it finds its n-th prime by counting blocks, then
+takes delta_ell of one chunk of a block at a time, so it holds the prime
+table's byte per prime and no int64 per prime.
 The CSV rows are built in numpy, one chunk at a time, as a row-major
 uint8 matrix with one CSV row per matrix row.  Each cell is gathered from
 lookup tables of ASCII digit groups, four digits to a uint32 lane, so a
@@ -31,7 +35,7 @@ import numpy as np
 
 from .f2series import F2Series, mul
 from .genforms import eta_product_pnt, least_shift
-from .primes import prime_array, require_memory
+from .primes import prime_array, prime_blocks, require_memory
 
 
 def partition_parity(n: int) -> F2Series:
@@ -74,6 +78,16 @@ def first_primes_ge5(count: int) -> np.ndarray:
     return prime_array(5, _nth_prime_bound(count))[:count]
 
 
+def _nth_prime_ge5(count: int) -> int:
+    """The count-th prime >= 5, found by counting the prime blocks below
+    _nth_prime_bound(count)."""
+    for block in prime_blocks(5, _nth_prime_bound(count)):
+        if count <= len(block):
+            return int(block[count - 1])
+        count -= len(block)
+    raise AssertionError("Rosser's bound lies above the count-th prime")
+
+
 WALK_COLUMNS = ("n", "step", "sum", "sqrt_band", "two_sqrt_band")
 
 WALK_KINDS = ("all", "delta-subseq")
@@ -97,14 +111,15 @@ def _walk_bytes(kind: str, n: int) -> int:
     Building the parity table holds four packed series of one bit per
     parity at once: the product so far, the dilated pentagonal factor, and
     the accumulator and shifted copy of their product.  Writing holds the
-    packed table and one chunk's rows.  "delta-subseq" holds its 8-byte
-    primes throughout, and its table reaches the n-th prime >= 5, which
-    exceeds (n + 2) ln(n + 2) (Rosser).
+    packed table and one chunk's rows.  "delta-subseq" holds the prime
+    table throughout, one byte for each of more than n primes, and its
+    parity table reaches the n-th prime >= 5, which exceeds
+    (n + 2) ln(n + 2) (Rosser).
     """
     if kind == "all":
         parities, primes = n + 1, 0
     else:
-        parities, primes = int((n + 2) * math.log(n + 2)), 8 * n
+        parities, primes = int((n + 2) * math.log(n + 2)), n
     chunk = _CHUNK_BYTES_PER_ROW * min(n, _CHUNK)
     return primes + max(parities // 2, parities // 8 + chunk)
 
@@ -238,21 +253,23 @@ def emit_walk(kind: str, n: int, out: BinaryIO) -> None:
     require_memory(_walk_bytes(kind, n), f"a walk of {n} steps needs about")
     if kind == "all":
         table = partition_parity(n + 1)
+        chunks = (np.arange(start + 1, min(start + _CHUNK, n) + 1, dtype=np.int64)
+                  for start in range(0, n, _CHUNK))
     else:
-        primes = first_primes_ge5(n)
+        last = _nth_prime_ge5(n)
         # delta_ell(ell) < ell, since least_shift(ell, 24, -1) <= 23
-        table = partition_parity(int(primes[-1]))
+        table = partition_parity(last)
+        chunks = (delta_ell(block[lo:lo + _CHUNK])
+                  for block in prime_blocks(5, last)
+                  for lo in range(0, len(block), _CHUNK))
     out.write((",".join(WALK_COLUMNS) + "\n").encode())
+    first = 1
     total = 0
     buf = bytearray()
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        if kind == "all":
-            at = np.arange(start + 1, stop + 1, dtype=np.int64)
-        else:
-            at = delta_ell(primes[start:stop])
+    for at in chunks:
         steps = 1 - 2 * table.coeffs_at(at).astype(np.int64)
         sums = np.cumsum(steps)
         sums += total
         total = int(sums[-1])
-        out.write(_row_bytes(start + 1, steps, sums, buf))
+        out.write(_row_bytes(first, steps, sums, buf))
+        first += len(at)

@@ -364,11 +364,11 @@ def test_too_large_scan_exits_two_before_building(monkeypatch, capsys):
     def must_not_run(*args):
         raise AssertionError("built despite the memory check")
 
-    # the sieve to 10^6 alone needs about 1.2 MB
+    # the prime table and the pnt^127 words to 10^7 need about 2 MB
     monkeypatch.setattr(primes, "_physical_memory", lambda: 1 << 20)
-    monkeypatch.setattr(primes, "sieve", must_not_run)
+    monkeypatch.setattr(primes, "segmented_sieve", must_not_run)
     monkeypatch.setattr(density, "pnt_power_bits", must_not_run)
-    assert exit_code(["density", "--r", "127", "--prime-bound", "1000000",
+    assert exit_code(["density", "--r", "127", "--prime-bound", "10000000",
                       "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "physical memory" in err and "P_127" in err
@@ -395,8 +395,7 @@ def test_failed_density_run_keeps_existing_out(tmp_path):
 def test_sieve_past_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
     out = tmp_path / "x.csv"
     out.write_text("earlier table\n")
-    monkeypatch.setattr(primes, "_primes", primes.sieve(0))
-    monkeypatch.setattr(primes, "_bound", 0)
+    monkeypatch.setattr(primes, "_table", primes.segmented_sieve(0))
     monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 1000)
 
     def no_flags(*args, **kwargs):
@@ -408,7 +407,7 @@ def test_sieve_past_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "physical memory" in err
     assert out.read_text() == "earlier table\n" and list(tmp_path.iterdir()) == [out]
-    assert primes._bound == 0
+    assert primes._table.bound == 0
 
 
 def test_expand_past_physical_memory_exits_two(monkeypatch, capsys):

@@ -16,7 +16,8 @@ from etaparity.density import (DensityEstimate, EmptyScanError, PrecisionError,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
                                 least_shift, p_r_series, pnt_power_bits)
-from etaparity.primes import is_prime, prime_array, sieve
+from etaparity.primes import (BLOCK_PRIMES, is_prime, prime_array, prime_blocks,
+                              segmented_sieve)
 
 from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
                      square_and_multiply, trial_division_primes)
@@ -25,9 +26,18 @@ BOUND = 20_000
 
 
 def cache_primes_to(monkeypatch, bound):
-    """Point prime_array's cache at a fresh sieve to bound."""
-    monkeypatch.setattr(primes_mod, "_primes", sieve(bound))
-    monkeypatch.setattr(primes_mod, "_bound", bound)
+    """Point prime_blocks' table at a fresh one to bound."""
+    monkeypatch.setattr(primes_mod, "_table", segmented_sieve(bound))
+
+
+def table_primes(table):
+    """All the primes of a table, as a list."""
+    return [p for block in table.blocks(0, table.bound) for p in block.tolist()]
+
+
+@pytest.fixture(scope="module")
+def primes_to_135000():
+    return trial_division_primes(135_000)
 
 
 def no_sieve(bound):
@@ -37,8 +47,47 @@ def no_sieve(bound):
 class TestPrimeSieve:
     def test_against_trial_division(self):
         want = trial_division_primes(10_000)
-        assert sieve(10_000).tolist() == want
+        assert table_primes(segmented_sieve(10_000)) == want
         assert prime_array(0, 10_000).tolist() == want
+
+    @pytest.mark.parametrize("bound, want", [(0, []), (1, []), (2, [2]), (3, [2, 3])])
+    def test_smallest_bounds(self, bound, want):
+        assert table_primes(segmented_sieve(bound)) == want
+
+    # a segment of 2^16 odd integers ends at 2^17 - 1; 367 is the least
+    # prime whose square, 134 689, lies past that first segment
+    @pytest.mark.parametrize("bound", [2**17 - 3, 2**17 - 1, 2**17, 2**17 + 1,
+                                       2**17 + 3, 367**2 - 2, 367**2, 367**2 + 2])
+    def test_segment_edges_against_trial_division(self, bound, primes_to_135000):
+        assert table_primes(segmented_sieve(bound)) == [
+            p for p in primes_to_135000 if p <= bound]
+
+    @pytest.mark.parametrize("segment", [1, 8, 32])
+    def test_short_segments_against_trial_division(self, segment, monkeypatch):
+        # with 32 odd integers to a segment, segments end at 63, 127, 191:
+        # 11^2 = 121 lies in the second and 11's next odd multiple, 143, in
+        # the third, and 13^2 = 169 lies two segments past 13
+        monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
+        want = trial_division_primes(600)
+        for bound in range(601):
+            got = table_primes(segmented_sieve(bound))
+            assert got == [p for p in want if p <= bound], (segment, bound)
+
+    @pytest.mark.parametrize("slots, last", [
+        ([0, 256], 0),        # 1 and 513: a gap of 512 needs 9 bits
+        ([0, 1, 257], 0),     # 3 and 515, after a gap that fits
+        ([0, 256, 257], 0),   # the wrapped byte alone would read 0
+        ([300], 44),          # the gap into a segment's first slot
+    ])
+    def test_half_gap_guard(self, slots, last):
+        out = np.zeros(len(slots), dtype=np.uint8)
+        with pytest.raises(ValueError, match="512"):
+            primes_mod._put_half_gaps(out, np.array(slots), last)
+
+    def test_half_gaps_up_to_510_fit(self):
+        out = np.zeros(3, dtype=np.uint8)
+        primes_mod._put_half_gaps(out, np.array([1, 2, 257]), 0)
+        assert out.tolist() == [1, 1, 255]
 
     @pytest.mark.parametrize("lo, hi", [
         (2, 997), (0, 997), (-7, 3), (2, 2), (4, 4), (24, 28), (500, 499),
@@ -48,7 +97,36 @@ class TestPrimeSieve:
         cache_primes_to(monkeypatch, 997)
         want = [p for p in trial_division_primes(997) if lo <= p <= hi]
         assert prime_array(lo, hi).tolist() == want
-        assert primes_mod._bound == 997
+        assert primes_mod._table.bound == 997
+
+    @pytest.mark.parametrize("lo, hi", [
+        (2, 997), (0, 997), (-7, 3), (2, 2), (4, 4), (24, 28), (500, 499),
+        (997, 2), (991, 997), (992, 997), (997, 997), (998, 997)])
+    def test_blocks_against_trial_division(self, lo, hi, monkeypatch):
+        # 16 primes to a block, so 168 primes to 997 take 11 blocks
+        monkeypatch.setattr(primes_mod, "BLOCK_PRIMES", 16)
+        cache_primes_to(monkeypatch, 997)
+        want = [p for p in trial_division_primes(997) if lo <= p <= hi]
+        blocks = list(prime_blocks(lo, hi))
+        assert [p for block in blocks for p in block.tolist()] == want
+        assert all(0 < len(block) <= 16 for block in blocks)
+
+    def test_blocks_with_ends_at_block_edges(self, monkeypatch):
+        monkeypatch.setattr(primes_mod, "BLOCK_PRIMES", 16)
+        cache_primes_to(monkeypatch, 997)
+        every = trial_division_primes(997)
+        # every[16 * c] opens block c, every[16 * c - 1] closes block c - 1
+        for c in range(1, 11):
+            for i, j in [(16 * c, 16 * c + 15), (16 * c - 1, 16 * c),
+                         (16 * c, 16 * (c + 1) - 1), (0, 16 * c - 1)]:
+                j = min(j, len(every) - 1)
+                for lo, hi in [(every[i], every[j]), (every[i] - 1, every[j] + 1),
+                               (every[i] + 1, every[j] - 1)]:
+                    blocks = list(prime_blocks(lo, hi))
+                    got = [p for block in blocks for p in block.tolist()]
+                    assert got == [p for p in every if lo <= p <= hi], (lo, hi)
+        lengths = [len(block) for block in prime_blocks(2, 997)]
+        assert lengths == [16] * 10 + [8]
 
     def test_slices_are_read_only(self):
         ps = prime_array(5, 1000)
@@ -57,19 +135,41 @@ class TestPrimeSieve:
         with pytest.raises(ValueError):
             prime_array(5, 100)[:] += 1
         with pytest.raises(ValueError):
-            sieve(100)[0] = 4
+            next(segmented_sieve(100).blocks(0, 100))[0] = 4
+        with pytest.raises(ValueError):
+            next(prime_blocks(5, 100))[0] = 4
         assert prime_array(5, 7).tolist() == [5, 7]
 
     @pytest.mark.parametrize("bound", [0, 1, 2, 100, 10**5])
     def test_sieve_is_read_only_int64(self, bound):
-        got = sieve(bound)
+        table = segmented_sieve(bound)
+        assert table.gaps.dtype == np.uint8 and table.marks.dtype == np.int64
+        for block in table.blocks(0, bound):
+            assert block.dtype == np.int64 and not block.flags.writeable
+        got = prime_array(0, bound)
         assert got.dtype == np.int64 and not got.flags.writeable
+
+    def test_store_takes_one_byte_per_prime(self):
+        table = segmented_sieve(10**6)
+        assert table.gaps.nbytes == 78_498  # pi(10^6)
+        assert table.marks.nbytes == 8 * -(-78_498 // BLOCK_PRIMES)
+
+    def test_prime_count_bound_holds(self):
+        # the store is allocated at this bound before the sieve counts
+        every = prime_array(0, 10**6)
+        for x in [*range(0, 2000), *range(2000, 10**6 + 1, 997), 10**6]:
+            count = int(np.searchsorted(every, x, side="right"))
+            assert count <= primes_mod._prime_count_bound(x), x
+        assert primes_mod._prime_count_bound(10**6) <= 1.03 * len(every)
 
     def test_regrows_to_at_least_double(self, monkeypatch):
         cache_primes_to(monkeypatch, 100)
-        assert prime_array(5, 150)[-1] == 149 and primes_mod._bound == 200
-        assert prime_array(5, 1000)[-1] == 997 and primes_mod._bound == 1000
-        assert prime_array(5, 700)[-1] == 691 and primes_mod._bound == 1000
+        assert prime_array(5, 150)[-1] == 149 and primes_mod._table.bound == 200
+        assert prime_array(5, 1000)[-1] == 997 and primes_mod._table.bound == 1000
+        assert prime_array(5, 700)[-1] == 691 and primes_mod._table.bound == 1000
+        blocks = list(prime_blocks(5, 2500))
+        assert blocks[-1][-1] == 2477 and primes_mod._table.bound == 2500
+        assert next(prime_blocks(2, 2)).tolist() == [2] and primes_mod._table.bound == 2500
 
     def test_membership(self):
         assert is_prime(97) and not is_prime(91)
@@ -86,10 +186,10 @@ class TestPrimeSieve:
     def test_is_prime_past_the_sieve_divides_by_its_root_primes(self, monkeypatch):
         cache_primes_to(monkeypatch, 100)
         assert is_prime(10_007) and not is_prime(10_001)
-        assert primes_mod._bound == 100
+        assert primes_mod._table.bound == 100
 
     def test_large_is_prime_never_sieves(self, monkeypatch):
-        monkeypatch.setattr(primes_mod, "sieve", no_sieve)
+        monkeypatch.setattr(primes_mod, "segmented_sieve", no_sieve)
         assert not is_prime(10**8)
         assert is_prime(10**9 + 7)
         assert not is_prime(99_991 * 99_989)  # both factors near the root
@@ -100,8 +200,8 @@ class TestPrimeSieve:
 
     def test_miller_rabin_agrees_with_the_sieve_below_1e5(self, monkeypatch):
         flags = np.zeros(10**5 + 1, dtype=bool)
-        flags[sieve(10**5)] = True
-        monkeypatch.setattr(primes_mod, "sieve", no_sieve)
+        flags[prime_array(0, 10**5)] = True
+        monkeypatch.setattr(primes_mod, "segmented_sieve", no_sieve)
         assert all(is_prime(n) == flags[n] for n in range(10**5 + 1))
 
     def test_is_prime_is_bounded_by_2_64(self):
@@ -318,7 +418,8 @@ class TestEtaDensityRoutes:
         whole = {r: eta_density(r, bound) for r in (1, 5, 18, 72, 127)}
         f = delta_series(bound + 1)
         one_pass = odd_coeff_density(f, bound)
-        monkeypatch.setattr(density_mod, "_SCAN_BLOCK", 100)
+        monkeypatch.setattr(primes_mod, "BLOCK_PRIMES", 100)
+        cache_primes_to(monkeypatch, bound)
         monkeypatch.setattr(density_mod, "_scans", {})
         assert {r: eta_density(r, bound) for r in whole} == whole
         assert odd_coeff_density(f, bound) == one_pass
@@ -338,7 +439,7 @@ class TestEtaDensityRoutes:
                 tracemalloc.stop()
         small, large = transients
         assert large < 1.25 * small
-        assert large < density_mod._SCAN_BYTES_PER_PRIME * density_mod._SCAN_BLOCK
+        assert large < density_mod._SCAN_BYTES_PER_PRIME * BLOCK_PRIMES
 
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):

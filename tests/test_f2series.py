@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaparity import f2series
-from etaparity.f2series import F2Series, add, mul, substitute_qk
+from etaparity.f2series import F2Series, add, every, mul, substitute_qk
 from etaparity.genforms import (c_series, delta_series, eta_product_pnt,
                                 pentagonal_numbers)
 
@@ -320,6 +320,41 @@ class TestSubstitute:
         lhs = substitute_qk(mul(f, g), k)
         rhs = mul(substitute_qk(f, k), substitute_qk(g, k))
         assert lhs == rhs
+
+
+class TestEvery:
+    @pytest.mark.parametrize("valid_len", [1, 8, 63, 64, 65, 1000, 4099])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 64, 65, 1000])
+    def test_against_a_strided_slice(self, rng, monkeypatch, valid_len, k):
+        # 16-byte blocks, so every result past 128 bits spans several
+        monkeypatch.setattr(f2series, "_BLOCK", 16)
+        values = rng.integers(0, 2, size=valid_len)
+        f = F2Series.from_bits(values)
+        for n in {0, valid_len // k, (valid_len - 1) // k + 1}:
+            got = every(f, k, n)
+            assert got.valid_len == n
+            assert np.array_equal(got.bits(), values[::k][:n])
+            assert got == F2Series.from_bits(values[::k][:n])
+
+    def test_clears_the_tail_of_the_last_word(self):
+        # a_(2i) is set only from i = 70 on, inside the last byte and word
+        # of a 70-coefficient result, so the kept bits and the tail are zero
+        f = F2Series.from_support([*range(1, 200, 2), *range(140, 200, 2)], 200)
+        assert every(f, 2, 70).is_zero()
+        assert support_list(every(f, 2, 100)) == list(range(70, 100))
+
+    @given(series_strategy(max_len=200), st.integers(1, 9))
+    @settings(max_examples=60)
+    def test_left_inverse_of_dilation(self, f, k):
+        assert every(substitute_qk(f, k), k, f.valid_len) == f
+
+    def test_rejects_reads_past_valid_len(self):
+        f = F2Series.zero(100)
+        every(f, 3, 34)  # reads a_99
+        with pytest.raises(ValueError):
+            every(f, 3, 35)
+        with pytest.raises(ValueError):
+            every(f, 0, 1)
 
 
 class TestTruncationDiscipline:

@@ -1,11 +1,13 @@
 """Hecke operators on series: shift/dilation behavior, grading, duality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from etaparity import primes
+from etaparity import f2series, primes
 from etaparity.f2series import F2Series, substitute_qk
-from etaparity.genforms import c_series, delta_series
+from etaparity.genforms import c_series, delta_series, p_r_series
 from etaparity.hecke import t_op, u_op
 
 from oracles import square_and_multiply
@@ -38,6 +40,20 @@ class TestU:
     def test_rejects_index_one(self):
         with pytest.raises(ValueError):
             u_op(F2Series.zero(10), 1)
+
+    def test_reads_only_the_bits_it_keeps(self):
+        # unpacking all 3 * 10^6 coefficients, a byte each, traced 3.2 MB
+        # for this 125 KB result
+        f = p_r_series(127, 3 * 10**6)
+        tracemalloc.start()
+        try:
+            got = u_op(f, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = 8 * -(-got.valid_len // 64)
+        assert peak <= 2 * result + f2series._BLOCK
+        assert np.array_equal(got.bits(), f.bits()[::3][:10**6])
 
 
 class TestV:
@@ -98,7 +114,7 @@ class TestT:
         def no_sieve(bound):
             raise AssertionError(f"sieve asked for {bound}")
 
-        monkeypatch.setattr(primes, "sieve", no_sieve)
+        monkeypatch.setattr(primes, "segmented_sieve", no_sieve)
         with pytest.raises(ValueError, match="too short"):
             t_op(delta_series(100), 10**9 + 7)
 

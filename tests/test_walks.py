@@ -233,8 +233,7 @@ class TestWalkMemoryCheck:
         # while the walk runs, from a fresh sieve as in a new process
         n = 10**5
         for kind in walks.WALK_KINDS:
-            monkeypatch.setattr(primes, "_primes", primes.sieve(0))
-            monkeypatch.setattr(primes, "_bound", 0)
+            monkeypatch.setattr(primes, "_table", primes.segmented_sieve(0))
             with open(os.devnull, "wb") as sink:
                 tracemalloc.start()
                 try:
@@ -298,3 +297,17 @@ def test_walk_holds_bits_not_per_step_arrays(tmp_path):
                          "walk", "--kind", "all", "--n", "2000000", "--out", str(out))
     imported = child_max_rss("import etaparity.cli, etaparity.walks")
     assert walk - imported <= 12 * 2**20, (walk, imported)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_delta_walk_holds_a_byte_per_prime(tmp_path):
+    # the 24-inverse walk to 5 * 10^5 steps sieves primes to 7.8 * 10^6:
+    # an int64 per prime sieved from a flag byte per odd integer took about
+    # 9.5 MB above the imports; the half-gap table takes one byte per prime
+    # and one 64 KB segment of flags while it is sieved
+    out = tmp_path / "walk.csv"
+    walk = child_max_rss("import sys; from etaparity.cli import main; sys.exit(main())",
+                         "walk", "--kind", "delta-subseq", "--n", "500000",
+                         "--out", str(out))
+    imported = child_max_rss("import etaparity.cli, etaparity.walks")
+    assert walk - imported <= 7 * 2**20, (walk, imported)
