@@ -100,15 +100,20 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _density_rows(r: int, prime_bound: int):
+def _density_rows(r_values: list[int], prime_bound: int):
+    """The report rows of every r, in order, from one batch of scans, and
+    whether every r passes."""
     from . import density
-    direct, formula = density.eta_density(r, prime_bound)
-    exact = density.eta_density_exact(r)
-    routes_ok = abs(direct.value - formula.value) <= ROUTE_AGREE_TOLERANCE
-    exact_ok = exact is None or abs(direct.value - float(exact)) <= direct.tolerance
-    rows = [density.density_report_row(r, prime_bound, "direct", direct),
-            density.density_report_row(r, prime_bound, "formula", formula)]
-    return rows, routes_ok and exact_ok
+    rows, ok = [], True
+    for r, (direct, formula) in zip(r_values,
+                                    density.eta_densities(r_values, prime_bound)):
+        exact = density.eta_density_exact(r)
+        routes_ok = abs(direct.value - formula.value) <= ROUTE_AGREE_TOLERANCE
+        exact_ok = exact is None or abs(direct.value - float(exact)) <= direct.tolerance
+        ok = ok and routes_ok and exact_ok
+        rows += [density.density_report_row(r, prime_bound, "direct", direct),
+                 density.density_report_row(r, prime_bound, "formula", formula)]
+    return rows, ok
 
 
 @contextlib.contextmanager
@@ -144,12 +149,7 @@ def cmd_density(args) -> int:
     r_values = _parse_r_spec(args.r)
     with (_replacing(args.out) if args.out
           else contextlib.nullcontext(sys.stdout)) as sink:
-        all_rows: list[dict] = []
-        ok = True
-        for r in r_values:
-            rows, good = _density_rows(r, args.prime_bound)
-            all_rows.extend(rows)
-            ok = ok and good
+        all_rows, ok = _density_rows(r_values, args.prime_bound)
         if args.format == "json":
             import json
             json.dump(all_rows, sink, indent=1)

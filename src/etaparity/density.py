@@ -21,15 +21,16 @@ the r where a closed form is proven.  For a prime ell let u be
   a dyadic ``fractions.Fraction``, so exact values add exactly.
 
 Every k is below prime_bound + 1, so a scan asks ``genforms`` for the bits
-of pnt^r at those indices (``pnt_power_bits``).  Scans read the primes
-as the blocks of ``primes.prime_blocks``, at most ``BLOCK_PRIMES`` int64
-primes decoded at a time from the table's one byte per prime.  u depends
-on ell mod m_r alone, so a scan takes it from a 24-entry table indexed by
-ell mod 24 and forms the indices of a block in place.  The indices and
-bits of a block are its only per-prime arrays, so a scan's working memory
-is one block whatever the prime bound.  Before a scan builds anything it
-checks, with ``primes.require_memory``, that the prime table, the packed
-pnt^o words and one block fit in physical memory.
+of pnt^r at those indices (``pnt_power_bits``).  A batch of r makes one
+pass over the blocks of ``primes.prime_blocks`` (``BLOCK_PRIMES`` int64
+primes decoded at a time from one byte per prime) and takes ell mod 24
+once a block.  u depends on ell mod 24 and (m_r, b_r mod m_r) alone, so
+the r of one such group form k0 = (u*ell - b_r mod m_r)/m_r once, from a
+24-entry table, and read at k0 - b_r // m_r in ascending order, stepping
+one index array in place, so it holds one block of per-prime arrays at
+any prime bound.  Before it builds anything it checks with
+``primes.require_memory`` that the prime table, the words of each pnt^o
+it reads and one block fit in physical memory.
 
 The module reads series through ``genforms`` and primes through
 ``primes`` alone; it loads none of the form-algebra modules ``level1``,
@@ -49,7 +50,8 @@ from fractions import Fraction
 import numpy as np
 
 from .f2series import F2Series
-from .genforms import EtaPowerParams, least_shift, pnt_power_bits
+from .genforms import (EtaPowerParams, generator_power, least_shift,
+                       pnt_power_bits)
 from .primes import BLOCK_PRIMES, prime_blocks, require_memory, sieve_bytes
 
 SIGMA_FACTOR = 4.0
@@ -112,15 +114,16 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
     return DensityEstimate.from_counts(hits, samples)
 
 
-def _scan_bytes(r: int, prime_bound: int) -> int:
-    """The bytes that eta_density(r, prime_bound) holds, about: the prime
-    table to prime_bound (one segment of flags while it is sieved and one
-    byte per prime), the packed words of pnt^o for r = 2^v * o, which has
-    about (prime_bound + 1) / 2^v coefficients, and one scan block."""
-    v = (r & -r).bit_length() - 1
-    words = 8 * ((prime_bound >> v) // 64 + 1)
+def _scan_bytes(rs, prime_bound: int) -> int:
+    """The bytes that eta_densities(rs, prime_bound) holds, about: the prime
+    table to prime_bound (see ``sieve_bytes``), the words of pnt^o to about
+    (prime_bound + 1) / 2^v coefficients for the least v with 2^v * o in
+    rs, and one scan block."""
+    # descending r, so that each o keeps the words of its least v
+    words = {r // (r & -r): 8 * (prime_bound // (r & -r) // 64 + 1)
+             for r in sorted(rs, reverse=True)}
     block = _SCAN_BYTES_PER_PRIME * min(BLOCK_PRIMES, prime_bound)
-    return sieve_bytes(prime_bound) + words + block
+    return sieve_bytes(prime_bound) + sum(words.values()) + block
 
 
 # (direct, formula) of every scan so far, keyed by (r, prime_bound)
@@ -128,50 +131,68 @@ _scans: dict[tuple[int, int], tuple[DensityEstimate, DensityEstimate]] = {}
 
 
 def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstimate]:
-    """(direct, formula) parity densities of P_r from one read: the bit of
-    pnt^r at k = ((u*ell - b_r)/m_r) mod ell for each prime ell, counted
-    at every ell (direct) and where u*ell >= b_r (formula; see the module
-    docstring), one block of primes at a time.  Each (r, prime_bound) is
-    scanned once; a repeat returns the kept result.  A scan whose estimated
-    size exceeds physical memory raises MemoryError before anything is
-    built."""
-    got = _scans.get((r, prime_bound))
-    if got is not None:
-        return got
-    params = EtaPowerParams.for_power(r)
-    m, b = params.m_r, params.b_r
-    require_memory(_scan_bytes(r, prime_bound),
-                   f"a scan of P_{r} to prime bound {prime_bound} needs about")
+    """(direct, formula) parity densities of P_r; see eta_densities."""
+    return eta_densities([r], prime_bound)[0]
+
+
+def eta_densities(rs, prime_bound: int) -> list[tuple]:
+    """(direct, formula) parity densities of P_r for each r of rs, in order.
+    The r not yet scanned to prime_bound share one pass over the primes; a
+    repeated (r, prime_bound) returns the kept result.  A batch too large
+    for physical memory raises MemoryError before anything is built."""
+    todo = sorted({r for r in rs if (r, prime_bound) not in _scans})
+    if not todo:
+        return [_scans[(r, prime_bound)] for r in rs]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for r in todo:  # (m_r, b_r mod m_r) -> [(b_r // m_r, r)]
+        p = EtaPowerParams.for_power(r)
+        groups.setdefault((p.m_r, p.b_r % p.m_r), []).append((p.b_r // p.m_r, r))
+    names = f"P_{todo[0]}" if len(todo) == 1 else f"{len(todo)} eta powers P_r"
+    require_memory(_scan_bytes(todo, prime_bound),
+                   f"a scan of {names} to prime bound {prime_bound} needs about")
     _check_scan(prime_bound)
+    # sieve before the build: the other order raised peak RSS by 0.05 MB
+    blocks = prime_blocks(5, prime_bound)
+    for r in todo:  # builds each pnt^o once, first at its least v
+        generator_power("C", r // (r & -r), prime_bound // (r & -r) + 1)
     # u for each ell mod 24: m divides 24, so ell mod 24 fixes ell mod m
-    shift = least_shift(np.arange(24, dtype=np.int64), m, b)
-    direct = formula = samples = 0
-    for ell in prime_blocks(5, prime_bound):
-        # k = u*ell - b, with ell mod 24 taken as ell - 24 (ell // 24):
-        # numpy divides by a constant faster than it takes a remainder
+    shifts = [(m, c, least_shift(np.arange(24, dtype=np.int64), m, c),
+               sorted(members)) for (m, c), members in groups.items()]
+    hits, misses, samples = dict.fromkeys(todo, 0), dict.fromkeys(todo, 0), 0
+    for ell in blocks:
+        # ell mod 24 as ell - 24 (ell // 24), which numpy forms faster
         k = ell // 24
         k *= -24
         k += ell
-        k = shift[k]
-        k *= ell
-        k -= b
-        # (u*ell - b)/m lies in [0, ell) where u*ell >= b; only ell < b can
-        # have u*ell < b, and there the index wraps mod ell and the formula
-        # row reads no bit
-        head = int(np.searchsorted(ell, b))
-        below = k[:head] < 0
-        k //= m
-        np.remainder(k[:head], ell[:head], out=k[:head])
-        bits = pnt_power_bits(r, k, prime_bound + 1)
-        hits = int(bits.sum())
-        direct += hits
-        formula += hits - int(bits[:head][below].sum())
+        rem = k.astype(np.uint8)
+        for m, c, shift, members in shifts:
+            np.take(shift, rem, out=k, mode="clip")
+            k *= ell
+            k -= c
+            k //= m
+            at = 0
+            for q, r in members:
+                k -= q - at  # now (u*ell - b)/m, with b = m*q + c
+                at = q
+                # u*ell >= b puts (u*ell - b)/m in [0, ell); below b, the
+                # index wraps mod ell, and the formula row skips u*ell < b
+                b = q * m + c
+                head = int(np.searchsorted(ell, b)) if ell[0] < b else 0
+                if head:
+                    kept = k[:head].copy()
+                    np.remainder(kept, ell[:head], out=k[:head])
+                bits = pnt_power_bits(r, k, prime_bound + 1)
+                hits[r] += int(bits.sum())
+                if head:
+                    misses[r] += int(bits[:head][kept < 0].sum())
+                    k[:head] = kept
         samples += len(ell)
-        del k, bits, below  # not held beside the next block's arrays
-    got = _scans[(r, prime_bound)] = (
-        DensityEstimate.from_counts(direct, samples),
-        DensityEstimate.from_counts(formula, samples))
-    return got
+        del k, rem, bits  # not held beside the next block's arrays
+    for r in todo:
+        _scans[(r, prime_bound)] = (
+            DensityEstimate.from_counts(hits[r], samples),
+            DensityEstimate.from_counts(hits[r] - misses[r], samples))
+    return [_scans[(r, prime_bound)] for r in rs]
 
 
 def zn(n: int) -> int:
@@ -211,18 +232,9 @@ def _dihedral_exact(r: int) -> Fraction | None:
 # delta^7, delta^19, delta^21 carry the values below.
 _ABELIAN_EXACT: dict[int, Fraction] = {
     **{a * s: Fraction(1, 8) for a in (1, 2, 4, 8) for s in (5, 7, 13)},
-    3 * 7: Fraction(5, 8),
-    3 * 19: Fraction(5, 8),
-    3 * 21: Fraction(5, 8),
-    6 * 7: Fraction(3, 8),
-    6 * 19: Fraction(1, 4),
-    6 * 21: Fraction(1, 4),
-    12 * 7: Fraction(1, 8),
-    12 * 19: Fraction(1, 8),
-    12 * 21: Fraction(1, 8),
-    24 * 7: Fraction(1, 8),
-    24 * 19: Fraction(1, 8),
-    24 * 21: Fraction(1, 8),
+    **{a * s: Fraction(1, 8) for a in (12, 24) for s in (7, 19, 21)},
+    **{3 * s: Fraction(5, 8) for s in (7, 19, 21)},
+    6 * 7: Fraction(3, 8), 6 * 19: Fraction(1, 4), 6 * 21: Fraction(1, 4),
 }
 
 
@@ -256,16 +268,13 @@ class BoundCheck:
 
 
 def verify_bounds(r_max: int, prime_bound: int) -> list[BoundCheck]:
-    """Check the density upper bounds empirically for all r <= r_max.
-
-    The density is below 1 always, below 1/2 for even r, and below 1/4
-    for r divisible by 4, except the four listed r
-    where 1/4 may be attained.  Returns one row per r; a row with
-    ok=False is a violation.
-    """
+    """Check the density upper bounds empirically for all r <= r_max: below
+    1 always, below 1/2 for even r, and below 1/4 for r divisible by 4,
+    except the r of BOUND_EXCEPTIONS, where 1/4 may be attained.  Returns
+    one row per r; a row with ok=False is a violation."""
     rows = []
-    for r in range(1, r_max + 1):
-        est, _ = eta_density(r, prime_bound)
+    for r, (est, _) in zip(range(1, r_max + 1),
+                           eta_densities(range(1, r_max + 1), prime_bound)):
         margin = 3.0 * est.sigma
         limit = 0.25 if r % 4 == 0 else 0.5 if r % 2 == 0 else 1.0
         if r in BOUND_EXCEPTIONS:
@@ -276,25 +285,16 @@ def verify_bounds(r_max: int, prime_bound: int) -> list[BoundCheck]:
     return rows
 
 
+REPORT_COLUMNS = ("r", "m_r", "b_r", "prime_bound", "samples", "hits",
+                  "value", "nearest_dyadic", "residual", "exact", "route")
+
+
 def density_report_row(r: int, prime_bound: int, route: str,
                        est: DensityEstimate) -> dict:
     """One CSV row of the density report (schema fixed; see README)."""
     params = EtaPowerParams.for_power(r)
     exact = eta_density_exact(r)
-    return {
-        "r": r,
-        "m_r": params.m_r,
-        "b_r": params.b_r,
-        "prime_bound": prime_bound,
-        "samples": est.samples,
-        "hits": est.hits,
-        "value": f"{est.value:.6f}",
-        "nearest_dyadic": str(est.nearest_dyadic),
-        "residual": f"{est.residual:.6f}",
-        "exact": str(exact) if exact is not None else "",
-        "route": route,
-    }
-
-
-REPORT_COLUMNS = ("r", "m_r", "b_r", "prime_bound", "samples", "hits",
-                  "value", "nearest_dyadic", "residual", "exact", "route")
+    return dict(zip(REPORT_COLUMNS, (
+        r, params.m_r, params.b_r, prime_bound, est.samples, est.hits,
+        f"{est.value:.6f}", str(est.nearest_dyadic), f"{est.residual:.6f}",
+        "" if exact is None else str(exact), route)))

@@ -102,11 +102,13 @@ def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
     residual = f
     exponents = []
     while not residual.is_zero():
-        e = int(residual.support()[0])
-        if e > max_degree:
+        # the lowest term, unpacked only up to the degree bound
+        head = residual.support(max_degree + 1)
+        if not len(head):
             raise ValueError(
                 f"not a generator polynomial of degree <= {max_degree} at this "
-                f"precision: residual starts at q^{e}")
+                f"precision: residual starts at q^{int(residual.support()[0])}")
+        e = int(head[0])
         exponents.append(e)
         residual = add(residual, power_in_q(_LEVEL_GENERATOR[level], e, f.valid_len))
     return GenPoly(level, frozenset(exponents))

@@ -12,16 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import density, level9
-from .cheby import combinatorial_count, digit_stats
-from .density import wn, zn
 from .f2series import F2Series, add, mul, substitute_qk
-from .genforms import (c_series, delta_series, eta_product_pnt, f_series,
-                       generator_power, power_in_q, prime_to_3_theta,
-                       triangular_theta)
-from .hecke import t_op
-from .level1 import (GenPoly, code_matrix, dihedral_density, genpoly_pow,
-                     genpoly_series, hecke_on_genpoly)
+
+# Each suite imports the other package modules it runs in its own body, so
+# that `verify --suite NAME` loads only what that suite needs.
 
 IDENTITY_PRECISION = 1_000_000
 HECKE_GRADING_PRECISION = 30_000
@@ -69,6 +63,9 @@ class SuiteResult:
 
 def suite_identities() -> SuiteResult:
     """Bitwise generator identities at full precision."""
+    from .genforms import (c_series, delta_series, eta_product_pnt, f_series,
+                           generator_power, power_in_q, prime_to_3_theta,
+                           triangular_theta)
     res = SuiteResult("identities")
     n = IDENTITY_PRECISION
     delta = delta_series(n)
@@ -83,10 +80,12 @@ def suite_identities() -> SuiteResult:
     res.add("delta = F + F^4 + F^9 + F^12",
             delta == add(add(f, f4),
                          add(power_in_q("F", 9, n), power_in_q("F", 12, n))))
+    del f4  # the products below hold only delta, c, f and q beside them
     q = F2Series.from_support([1], n)
     # pnt^24(y) = pnt^3(y^8); pnt is the h of C
     pnt24 = substitute_qk(generator_power("C", 3, n // 8 + 1), 8, n)
     res.add("q * pentagonal_product^24 = delta", mul(q, pnt24, n) == delta)
+    del pnt24
     # the compressed generators that eta powers are built from
     res.add("delta = q * T(q^8)",
             delta == mul(q, substitute_qk(triangular_theta(n // 8 + 1), 8, n), n))
@@ -99,6 +98,9 @@ def suite_identities() -> SuiteResult:
 
 def suite_hecke_grading() -> SuiteResult:
     """T_ell moves graded pieces by multiplication on the index, both levels."""
+    from . import level9
+    from .hecke import t_op
+    from .level1 import GenPoly, genpoly_pow, genpoly_series
     res = SuiteResult("hecke-grading")
     n = HECKE_GRADING_PRECISION
     for i in (1, 3, 5, 7):
@@ -126,6 +128,7 @@ def suite_hecke_grading() -> SuiteResult:
 
 def suite_combinatorial() -> SuiteResult:
     """Brute-force hitting-class counts against the digit-statistics closed form."""
+    from .cheby import combinatorial_count, digit_stats
     res = SuiteResult("combinatorial")
     bad = []
     for a in range(1, COMBINATORIAL_A_MAX + 1):
@@ -146,6 +149,9 @@ def _indicator_matrix_ok(cm: np.ndarray, a: int, b: int) -> bool:
 
 def suite_dihedral_code(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     """Adapted-basis codes of the dihedral generator powers, plus the density law."""
+    from . import density
+    from .density import wn, zn
+    from .level1 import GenPoly, code_matrix, dihedral_density, genpoly_series
     res = SuiteResult("dihedral-code")
     for n in range(1, 5):
         cm = code_matrix(GenPoly(1, frozenset({zn(n)})), 2**n + 1, 3)
@@ -177,6 +183,8 @@ def suite_dihedral_code(prime_bound: int = PRIME_BOUND) -> SuiteResult:
 
 
 def suite_level9(prime_bound: int = PRIME_BOUND) -> SuiteResult:
+    from . import density, level9
+    from .level1 import GenPoly, genpoly_pow, genpoly_series, hecke_on_genpoly
     res = SuiteResult("level9")
     violations = level9.verify_u2_u3_kernel(KERNEL_N_MAX, KERNEL_COEFFS)
     res.add(f"U_2, U_3 kill the K(9) basis to n <= {KERNEL_N_MAX}",
@@ -203,6 +211,7 @@ def suite_level9(prime_bound: int = PRIME_BOUND) -> SuiteResult:
 
 
 def suite_bounds(prime_bound: int = PRIME_BOUND) -> SuiteResult:
+    from . import density
     res = SuiteResult("bounds")
     rows = density.verify_bounds(BOUNDS_R_MAX, prime_bound)
     bad = [row for row in rows if not row.ok]
@@ -215,19 +224,18 @@ def suite_bounds(prime_bound: int = PRIME_BOUND) -> SuiteResult:
 
 def suite_thmB(prime_bound: int = PRIME_BOUND) -> SuiteResult:
     """Vanishing classification: zero classes die, everything else is bounded away."""
+    from . import density
     res = SuiteResult("thmB")
-    for r in THM_B_ZERO_SET:
-        low, _ = density.eta_density(r, prime_bound)
-        high, _ = density.eta_density(r, 2 * prime_bound)
+    lows = density.eta_densities(THM_B_ZERO_SET, prime_bound)
+    highs = density.eta_densities(THM_B_ZERO_SET, 2 * prime_bound)
+    for r, (low, _), (high, _) in zip(THM_B_ZERO_SET, lows, highs):
         res.add(f"D({r}) tail: proportion < 0.01",
                 low.value < 0.01, detail=f"{low.value:.5f}")
         res.add(f"D({r}) tail: non-increasing as the bound doubles",
                 high.value <= low.value,
                 detail=f"{low.value:.5f} -> {high.value:.5f}")
-    for r in range(1, 65):
-        if r in THM_B_ZERO_SET:
-            continue
-        est, _ = density.eta_density(r, prime_bound)
+    rs = [r for r in range(1, 65) if r not in THM_B_ZERO_SET]
+    for r, (est, _) in zip(rs, density.eta_densities(rs, prime_bound)):
         res.add(f"D({r}) > 0.05 (not a zero class)", est.value > 0.05,
                 detail=f"{est.value:.4f}")
     return res
@@ -235,6 +243,8 @@ def suite_thmB(prime_bound: int = PRIME_BOUND) -> SuiteResult:
 
 def _thmD_cases() -> list[tuple[int, float]]:
     """(r, expected) pairs with expectations re-derived from digit statistics."""
+    from .density import wn, zn
+    from .level1 import dihedral_density
     dd = lambda a: float(dihedral_density(a))
     cases = []
     for n in range(1, 5):
@@ -253,13 +263,15 @@ def _thmD_cases() -> list[tuple[int, float]]:
 
 
 def suite_thmD(prime_bound: int = PRIME_BOUND) -> SuiteResult:
+    from . import density
     res = SuiteResult("thmD")
-    for r, expected in _thmD_cases():
+    cases = _thmD_cases()
+    ests = density.eta_densities([r for r, _ in cases], prime_bound)
+    for (r, expected), (est, _) in zip(cases, ests):
         exact = density.eta_density_exact(r)
         res.add(f"exact D({r}) = {expected}",
                 exact is not None and float(exact) == expected,
                 detail=f"exact={exact}")
-        est, _ = density.eta_density(r, prime_bound)
         res.add(f"empirical D({r}) matches",
                 abs(est.value - expected) <= est.tolerance,
                 detail=f"value={est.value:.4f}")
@@ -271,19 +283,19 @@ ABELIAN_MULTIPLES = tuple(a * s for a in (3, 6, 12, 24) for s in (7, 19, 21))
 
 
 def suite_abelian(prime_bound: int = PRIME_BOUND) -> SuiteResult:
+    from . import density
     res = SuiteResult("abelian")
-    for r in ABELIAN_EIGHTHS:
+    ests = density.eta_densities(ABELIAN_EIGHTHS + ABELIAN_MULTIPLES, prime_bound)
+    for r, (est, _) in zip(ABELIAN_EIGHTHS, ests):
         exact = density.eta_density_exact(r)
         res.add(f"exact D({r}) = 1/8",
                 exact is not None and float(exact) == 0.125)
-        est, _ = density.eta_density(r, prime_bound)
         res.add(f"empirical D({r}) matches",
                 abs(est.value - 0.125) <= est.tolerance,
                 detail=f"value={est.value:.4f}")
-    for r in ABELIAN_MULTIPLES:
+    for r, (est, _) in zip(ABELIAN_MULTIPLES, ests[len(ABELIAN_EIGHTHS):]):
         exact = density.eta_density_exact(r)
         res.add(f"exact D({r}) known", exact is not None, detail=str(exact))
-        est, _ = density.eta_density(r, prime_bound)
         res.add(f"empirical D({r}) matches exact",
                 exact is not None and abs(est.value - float(exact)) <= est.tolerance,
                 detail=f"value={est.value:.4f} exact={exact}")

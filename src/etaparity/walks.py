@@ -35,7 +35,7 @@ import numpy as np
 
 from .f2series import F2Series, mul
 from .genforms import eta_product_pnt, least_shift
-from .primes import prime_array, prime_blocks, require_memory
+from .primes import prime_blocks, require_memory
 
 
 def partition_parity(n: int) -> F2Series:
@@ -67,15 +67,6 @@ def _nth_prime_bound(count: int) -> int:
     """An upper bound on the count-th prime >= 5 (Rosser's k(ln k + ln ln k))."""
     k = count + 2  # global prime index, skipping 2 and 3
     return max(30, int(k * (math.log(k) + math.log(math.log(max(k, 3))))) + 10)
-
-
-def first_primes_ge5(count: int) -> np.ndarray:
-    """The first `count` primes starting from 5, one slice of the primes
-    below _nth_prime_bound(count): Rosser's p_k < k(ln k + ln ln k) holds
-    for k >= 6, and the floor of 30 covers the first three."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return prime_array(5, _nth_prime_bound(count))[:count]
 
 
 def _nth_prime_ge5(count: int) -> int:

@@ -77,6 +77,17 @@ def trial_division_primes(n: int) -> list[int]:
             if p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
+def first_primes_ge5(count: int) -> np.ndarray:
+    """The first `count` primes starting from 5, one slice of the primes
+    below walks._nth_prime_bound(count): Rosser's p_k < k(ln k + ln ln k)
+    holds for k >= 6, and the floor of 30 covers the first three."""
+    from etaparity.primes import prime_array
+    from etaparity.walks import _nth_prime_bound
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return prime_array(5, _nth_prime_bound(count))[:count]
+
+
 @dataclass(frozen=True)
 class SubseqIndex:
     """The shift data for one prime: ell*mu ≡ b_r (mod m_r) with
@@ -223,12 +234,36 @@ def q_domain_route_hits(r: int, primes: list[int], prime_bound: int) -> tuple[in
     return direct, formula
 
 
+def eta_density_one_at_a_time(r: int, prime_bound: int) -> tuple[int, int, int]:
+    """(direct hits, formula hits, samples) of P_r to prime_bound, one r at
+    a time: the bit of pnt^r at k = ((u*ell - b_r)/m_r) mod ell for each
+    prime ell >= 5, counted at every ell (direct) and where u*ell >= b_r
+    (formula), one block of primes at a time.  The reference for
+    ``density.eta_densities``, which scans a batch of r in one pass."""
+    from etaparity.genforms import EtaPowerParams, least_shift, pnt_power_bits
+    from etaparity.primes import prime_blocks
+    params = EtaPowerParams.for_power(r)
+    m, b = params.m_r, params.b_r
+    direct = formula = samples = 0
+    for ell in prime_blocks(5, prime_bound):
+        k = least_shift(ell, m, b) * ell - b
+        head = int(np.searchsorted(ell, b))
+        below = k[:head] < 0
+        k //= m
+        k[:head] %= ell[:head]
+        bits = pnt_power_bits(r, k, prime_bound + 1)
+        direct += int(bits.sum())
+        formula += int(bits.sum()) - int(bits[:head][below].sum())
+        samples += len(ell)
+    return direct, formula, samples
+
+
 def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(steps, running sums) of the walk as whole int64 arrays: +1 for even
     parity, -1 for odd, over p(1..n) ("all") or p(delta_ell) for the first
     n primes ell >= 5 ("delta-subseq"), read from a table that ends at the
     largest delta_ell."""
-    from etaparity.walks import delta_ell, first_primes_ge5, partition_parity
+    from etaparity.walks import delta_ell, partition_parity
     if kind == "all":
         par = partition_parity(n + 1).bits()[1:n + 1]
     else:

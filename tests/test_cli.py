@@ -220,7 +220,8 @@ class TestVerify:
             calls.append((p, n))
             return expand(p, n)
 
-        for module in (level1, level9, suites):
+        # suites imports genpoly_series in its bodies, from level1
+        for module in (level1, level9):
             monkeypatch.setattr(module, "genpoly_series", counted)
         code, _ = run_cli("verify", "--suite", "level9", "--prime-bound", "10000")
         assert code == 0
@@ -232,7 +233,7 @@ class TestVerify:
         # before them has scanned: 112 distinct scans answer 184 requests.
         # A scan reads pnt^r one block of primes at a time, so its reads
         # are summed per (r, n) = (r, bound + 1).
-        reads, scan = density.pnt_power_bits, density.eta_density
+        reads, scan = density.pnt_power_bits, density.eta_densities
         requests = []
         read = collections.Counter()
 
@@ -240,12 +241,12 @@ class TestVerify:
             read[(r, n)] += len(ks)
             return reads(r, ks, n)
 
-        def requested(r, prime_bound):
-            requests.append((r, prime_bound))
-            return scan(r, prime_bound)
+        def requested(rs, prime_bound):
+            requests.extend((r, prime_bound) for r in rs)
+            return scan(rs, prime_bound)
 
         monkeypatch.setattr(density, "pnt_power_bits", counted)
-        monkeypatch.setattr(density, "eta_density", requested)
+        monkeypatch.setattr(density, "eta_densities", requested)
         code, _ = run_cli("verify", "--suite", "all")
         assert code == 0
         assert len(requests) == 184
@@ -449,7 +450,7 @@ def test_unwritable_walk_out_exits_two(tmp_path, monkeypatch, capsys):
         raise AssertionError("walk built before the output was opened")
 
     monkeypatch.setattr(walks, "partition_parity", must_not_run)
-    monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
+    monkeypatch.setattr(walks, "_nth_prime_ge5", must_not_run)
     out = tmp_path / "missing" / "walk.csv"
     for kind in walks.WALK_KINDS:
         assert exit_code(["walk", "--kind", kind, "--n", "10", "--out", str(out)]) == 2

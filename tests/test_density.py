@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from etaparity import cli
 from etaparity import density as density_mod
 from etaparity import genforms
 from etaparity import primes as primes_mod
 from etaparity.density import (DensityEstimate, EmptyScanError, PrecisionError,
-                               eta_density, eta_density_exact,
+                               eta_densities, eta_density, eta_density_exact,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
@@ -19,7 +22,8 @@ from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
 from etaparity.primes import (BLOCK_PRIMES, is_prime, prime_array, prime_blocks,
                               segmented_sieve)
 
-from oracles import (mu_delta, odd_coeff_density_shifted, q_domain_route_hits,
+from oracles import (eta_density_one_at_a_time, mu_delta,
+                     odd_coeff_density_shifted, q_domain_route_hits,
                      square_and_multiply, trial_division_primes)
 
 BOUND = 20_000
@@ -468,6 +472,65 @@ class TestEtaDensityRoutes:
             shifted_bits = series.coeffs_at(u_c * cls)
             assert np.array_equal(np.array(direct_bits, dtype=np.uint8),
                                   shifted_bits)
+
+
+class TestBatchScan:
+    """eta_densities scans a batch of r in one pass over the primes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rs=st.lists(st.integers(1, 256), min_size=1, max_size=12),
+           bound=st.sampled_from([5, 7, 97, 20_000]))
+    # b_r of 253, 251, 125 and 97 lies above the first primes, so their
+    # indices wrap mod ell there; 97 and 1 share the group
+    # (m_r, b_r mod m_r) = (24, 1), and 125 and 5 share (24, 5)
+    @example(rs=[253, 251, 97, 250, 125, 97, 1, 5], bound=97)
+    @example(rs=[256, 255, 24, 48, 5, 7], bound=20_000)
+    def test_batch_matches_one_at_a_time(self, rs, bound):
+        density_mod._scans.clear()
+        got = [(d.hits, f.hits, d.samples) for d, f in eta_densities(rs, bound)]
+        assert got == [eta_density_one_at_a_time(r, bound) for r in rs]
+
+    def test_one_decode_of_each_prime_block(self, monkeypatch):
+        # the table at 10^5 reads its 9 590 primes as two blocks: one batch
+        # decodes each once, where a pass per r decodes each 132 times
+        bound, rs = 10**5, range(1, 133)
+        cache_primes_to(monkeypatch, bound)
+        decode = primes_mod.PrimeTable._block
+        decoded = []
+
+        def counted(table, c):
+            decoded.append(c)
+            return decode(table, c)
+
+        monkeypatch.setattr(primes_mod.PrimeTable, "_block", counted)
+        eta_densities(rs, bound)
+        assert decoded == [0, 1]
+        decoded.clear()
+        for r in rs:
+            eta_density_one_at_a_time(r, bound)
+        assert len(decoded) == 264
+
+    def test_batch_past_physical_memory_exits_two_before_building(
+            self, monkeypatch, capsys):
+        # each r's own scan fits in the limit, the batch's pnt^o do not
+        bound, rs = 20_000, range(1, 133)
+        alone = max(density_mod._scan_bytes([r], bound) for r in rs)
+        assert density_mod._scan_bytes(rs, bound) > alone
+        monkeypatch.setattr(primes_mod, "_physical_memory", lambda: alone)
+        for r in rs:
+            primes_mod.require_memory(density_mod._scan_bytes([r], bound), "")
+
+        def must_not_run(*args):
+            raise AssertionError("built despite the memory check")
+
+        monkeypatch.setattr(genforms, "_powers", {})
+        monkeypatch.setattr(genforms, "mul", must_not_run)
+        monkeypatch.setattr(density_mod, "pnt_power_bits", must_not_run)
+        assert cli.main(["density", "--r", "1..132", "--prime-bound",
+                         str(bound), "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "physical memory" in err
+        assert "132 eta powers" in err and density_mod._scans == {}
 
 
 class TestExactValues:

@@ -143,7 +143,6 @@ _LOADED = ("print(sorted(m[10:] for m in sys.modules if m.startswith('etaparity.
 
 # the CLI imports walks at its top, and with it numpy and these leaves
 WALK_MODULES = ["f2series", "genforms", "primes", "walks"]
-ALL_MODULES = sorted(set(MODULES) - {"cli"})
 
 
 def test_cli_import_loads_only_the_walk_modules():
@@ -158,10 +157,15 @@ def test_cli_import_loads_only_the_walk_modules():
     (["density", "--r", "1", "--prime-bound", "1000", "--format", "csv"],
      sorted(WALK_MODULES + ["density"])),
     (["walk", "--n", "10", "--out", "{tmp}/walk.csv"], WALK_MODULES),
-    (["verify", "--suite", "combinatorial"], ALL_MODULES),
+    (["verify", "--suite", "combinatorial"],
+     sorted(WALK_MODULES + ["cheby", "suites"])),
     (["expand", "delta"], WALK_MODULES),
     (["expand", "alpha:17"],
      sorted(WALK_MODULES + ["cheby", "hecke", "level1", "level9"])),
+    (["verify", "--suite", "bounds", "--prime-bound", "10000"],
+     sorted(WALK_MODULES + ["density", "suites"])),
+    (["verify", "--suite", "thmD", "--prime-bound", "10000"],
+     sorted(WALK_MODULES + ["cheby", "density", "hecke", "level1", "suites"])),
 ])
 def test_each_command_loads_only_its_modules(argv, modules, tmp_path):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

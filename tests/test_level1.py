@@ -74,6 +74,26 @@ class TestToGenPoly:
         with pytest.raises(ValueError, match=rf"residual starts at q\^{j}$"):
             to_genpoly(flipped, level, bound)
 
+    def test_unpacks_the_residual_only_to_the_bound(self, monkeypatch):
+        # each round reads the lowest term below max_degree + 1; only the
+        # error that words "residual starts at q^e" unpacks all of it
+        support = F2Series.support
+        asked = []
+
+        def recorded(self, n=None):
+            asked.append(n)
+            return support(self, n)
+
+        series = genpoly_series(GenPoly(1, frozenset({1, 3, 7})), 10_000)
+        flipped = add(series, F2Series.from_support([9000], 10_000))
+        monkeypatch.setattr(F2Series, "support", recorded)
+        assert to_genpoly(series, 1, 7).exponents == frozenset({1, 3, 7})
+        assert asked.count(8) == 3 and None not in asked
+        asked.clear()
+        with pytest.raises(ValueError, match=r"residual starts at q\^9000$"):
+            to_genpoly(flipped, 1, 7)
+        assert asked.count(8) == 4 and asked.count(None) == 1
+
     def test_degree_violation_diagnostic(self):
         f = F2Series.from_support([2], 20)
         with pytest.raises(ValueError, match="degree"):

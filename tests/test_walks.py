@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 import etaparity
 from etaparity import cli, primes, walks
 from etaparity.genforms import pentagonal_numbers
-from etaparity.walks import (delta_ell, emit_walk, first_primes_ge5,
-                             partition_parity)
+from etaparity.walks import delta_ell, emit_walk, partition_parity
 
-from oracles import (delta_ell_from_window, exact_partitions, mask_to_bits,
-                     naive_eta_product_mask, naive_series_inverse_bits,
-                     trial_division_primes, walk_arrays, walk_csv_reference,
-                     walk_rows_reference)
+from oracles import (delta_ell_from_window, exact_partitions, first_primes_ge5,
+                     mask_to_bits, naive_eta_product_mask,
+                     naive_series_inverse_bits, trial_division_primes,
+                     walk_arrays, walk_csv_reference, walk_rows_reference)
 
 
 def write_walk(kind, n, path):
@@ -158,7 +157,7 @@ class TestWalks:
             raise AssertionError("walk built for an unknown kind")
 
         monkeypatch.setattr(walks, "partition_parity", must_not_run)
-        monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
+        monkeypatch.setattr(walks, "_nth_prime_ge5", must_not_run)
         out = io.BytesIO()
         with pytest.raises(ValueError):
             emit_walk("bogus", 10, out)
@@ -249,7 +248,7 @@ class TestWalkMemoryCheck:
 
         monkeypatch.setattr(primes, "_physical_memory", lambda: 16 * 1000)
         monkeypatch.setattr(walks, "partition_parity", must_not_run)
-        monkeypatch.setattr(walks, "first_primes_ge5", must_not_run)
+        monkeypatch.setattr(walks, "_nth_prime_ge5", must_not_run)
         out = tmp_path / "walk.csv"
         for kind in walks.WALK_KINDS:
             code = cli.main(["walk", "--kind", kind, "--n", "1000", "--out", str(out)])
