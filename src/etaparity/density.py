@@ -22,13 +22,13 @@ the r where a closed form is proven.  For a prime ell let u be
 
 Every k is below prime_bound + 1, so a scan asks ``genforms`` for the bits
 of pnt^r at those indices (``pnt_power_bits``).  A batch of r makes one
-pass over the blocks of ``primes.prime_blocks`` (``BLOCK_PRIMES`` int64
-primes decoded at a time from one byte per prime) and takes ell mod 24
-once a block.  u depends on ell mod 24 and (m_r, b_r mod m_r) alone, so
-the r of one such group form k0 = (u*ell - b_r mod m_r)/m_r once, from a
-24-entry table, and read at k0 - b_r // m_r in ascending order, stepping
-one index array in place, so it holds one block of per-prime arrays at
-any prime bound.  Before it builds anything it checks with
+pass over the blocks of ``primes.prime_blocks`` (the int64 primes among
+``BLOCK_ODDS`` odd integers, decoded at a time from one bit each) and
+takes ell mod 24 once a block.  u depends on ell mod 24 and
+(m_r, b_r mod m_r) alone, so the r of one such group form
+k0 = (u*ell - b_r mod m_r)/m_r once, from a 24-entry table, and read at
+k0 - b_r // m_r in ascending order, stepping one index array in place,
+so it holds one block of per-prime arrays at any prime bound.  Before it builds anything it checks with
 ``primes.require_memory`` that the prime table, the words of each pnt^o
 it reads and one block fit in physical memory.
 
@@ -52,7 +52,7 @@ import numpy as np
 from .f2series import F2Series
 from .genforms import (EtaPowerParams, generator_power, least_shift,
                        pnt_power_bits)
-from .primes import BLOCK_PRIMES, prime_blocks, require_memory, sieve_bytes
+from .primes import BLOCK_ODDS, prime_blocks, require_memory, sieve_bytes
 
 SIGMA_FACTOR = 4.0
 
@@ -116,23 +116,19 @@ def odd_coeff_density(f: F2Series, prime_bound: int) -> DensityEstimate:
 
 def _scan_bytes(rs, prime_bound: int) -> int:
     """The bytes that eta_densities(rs, prime_bound) holds, about: the prime
-    table to prime_bound (see ``sieve_bytes``), the words of pnt^o to about
-    (prime_bound + 1) / 2^v coefficients for the least v with 2^v * o in
-    rs, and one scan block."""
+    table to prime_bound, one bit per odd integer (see ``sieve_bytes``), the
+    words of pnt^o to about (prime_bound + 1) / 2^v coefficients for the
+    least v with 2^v * o in rs, and one scan block of at most BLOCK_ODDS
+    primes."""
     # descending r, so that each o keeps the words of its least v
     words = {r // (r & -r): 8 * (prime_bound // (r & -r) // 64 + 1)
              for r in sorted(rs, reverse=True)}
-    block = _SCAN_BYTES_PER_PRIME * min(BLOCK_PRIMES, prime_bound)
+    block = _SCAN_BYTES_PER_PRIME * min(BLOCK_ODDS, prime_bound)
     return sieve_bytes(prime_bound) + sum(words.values()) + block
 
 
 # (direct, formula) of every scan so far, keyed by (r, prime_bound)
 _scans: dict[tuple[int, int], tuple[DensityEstimate, DensityEstimate]] = {}
-
-
-def eta_density(r: int, prime_bound: int) -> tuple[DensityEstimate, DensityEstimate]:
-    """(direct, formula) parity densities of P_r; see eta_densities."""
-    return eta_densities([r], prime_bound)[0]
 
 
 def eta_densities(rs, prime_bound: int) -> list[tuple]:

@@ -11,14 +11,13 @@ Instances are immutable after construction; all operations are pure
 functions returning fresh series.  Squaring is exponent dilation
 (``substitute_qk(f, 2)``); generator powers are built in ``genforms``.
 The packed words are private to this module: other modules read
-coefficients through ``bits``, ``coeffs_at`` and ``support``.
+coefficients through ``coeffs_at`` and ``support``.
 
 Construction never stages a byte per coefficient: ``from_support`` ORs
-each exponent's bit into zeroed words, and ``from_bits`` packs its input
-one block of ``_BLOCK`` coefficients at a time into the word buffer.
-``every`` (coefficient extraction, the left inverse of ``substitute_qk``)
-unpacks its source one span of about ``_BLOCK`` coefficients at a time
-and packs the bits it keeps straight into the result.
+each exponent's bit into zeroed words.  ``every`` (coefficient extraction,
+the left inverse of ``substitute_qk``) unpacks its source one span of
+about ``_BLOCK`` coefficients at a time and packs the bits it keeps
+straight into the result.
 
 ``mul`` is the one product kernel.  It reads the support of the sparser
 operand, which unpacks only nonzero words, and XORs word-aligned slices
@@ -36,9 +35,8 @@ import numpy as np
 
 _WORD = 64
 
-# The bytes of scratch a blocked pass holds: from_bits packs and every
-# unpacks about this many coefficients at a time, and mul ORs carries into
-# this many bytes of words.  It is below glibc's default mmap threshold
+# The bytes of scratch a blocked pass holds: every unpacks about this many
+# coefficients at a time, and mul ORs carries into this many bytes of words.  It is below glibc's default mmap threshold
 # (128 KB), so a pass's scratch comes from the heap.
 _BLOCK = 1 << 16
 
@@ -118,33 +116,6 @@ class F2Series:
         np.left_shift(np.uint64(1), masks, out=masks)
         np.bitwise_or.at(words, idx >> 6, masks)
         return cls(words, valid_len)
-
-    @classmethod
-    def from_bits(cls, bits, valid_len: int | None = None) -> "F2Series":
-        """Series whose coefficient n is bits[n] & 1, for n < valid_len
-        (default len(bits)), packed one block at a time."""
-        bits = np.asarray(bits)
-        if valid_len is None:
-            valid_len = len(bits)
-        if len(bits) < valid_len:
-            raise ValueError("fewer bits than valid_len")
-        words = np.zeros(_nwords(valid_len), dtype=np.uint64)
-        dest = words.view(np.uint8)
-        for lo in range(0, valid_len, _BLOCK):
-            block = np.asarray(bits[lo:min(lo + _BLOCK, valid_len)], dtype=np.uint8)
-            packed = np.packbits(block & 1, bitorder="little")
-            dest[lo >> 3:(lo >> 3) + len(packed)] = packed
-        return cls(words, valid_len)
-
-    def bits(self, n: int | None = None) -> np.ndarray:
-        """First n (default valid_len) coefficients as a 0/1 uint8 array."""
-        if n is None:
-            n = self.valid_len
-        if n > self.valid_len:
-            raise ValueError("requested bits beyond valid_len")
-        if n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        return np.unpackbits(self._words.view(np.uint8), count=n, bitorder="little")
 
     def coeff(self, n: int) -> int:
         if not 0 <= n < self.valid_len:

@@ -14,7 +14,7 @@ from the chunks before, so no array of one entry per step is ever held.
 The 24-inverse walk reads its primes as the blocks of
 ``primes.prime_blocks``: it finds its n-th prime by counting blocks, then
 takes delta_ell of one chunk of a block at a time, so it holds the prime
-table's byte per prime and no int64 per prime.
+table's bit per odd integer and no int64 per prime.
 The CSV rows are built in numpy, one chunk at a time, as a row-major
 uint8 matrix with one CSV row per matrix row.  Each cell is gathered from
 lookup tables of ASCII digit groups, four digits to a uint32 lane, so a
@@ -102,15 +102,16 @@ def _walk_bytes(kind: str, n: int) -> int:
     Building the parity table holds four packed series of one bit per
     parity at once: the product so far, the dilated pentagonal factor, and
     the accumulator and shifted copy of their product.  Writing holds the
-    packed table and one chunk's rows.  "delta-subseq" holds the prime
-    table throughout, one byte for each of more than n primes, and its
-    parity table reaches the n-th prime >= 5, which exceeds
-    (n + 2) ln(n + 2) (Rosser).
+    packed table and one chunk's rows.  "delta-subseq" reads up to the n-th
+    prime >= 5, which exceeds (n + 2) ln(n + 2) (Rosser): its parity table
+    reaches that prime, and its prime table, held throughout, takes one bit
+    for each odd integer up to it.
     """
     if kind == "all":
         parities, primes = n + 1, 0
     else:
-        parities, primes = int((n + 2) * math.log(n + 2)), n
+        parities = int((n + 2) * math.log(n + 2))
+        primes = parities // 16
     chunk = _CHUNK_BYTES_PER_ROW * min(n, _CHUNK)
     return primes + max(parities // 2, parities // 8 + chunk)
 
@@ -236,11 +237,14 @@ def emit_walk(kind: str, n: int, out: BinaryIO) -> None:
 
     A step is +1 for even parity and -1 for odd.  Kind "all" walks
     p(1..n); "delta-subseq" walks p(delta_ell) over the first n primes
-    ell >= 5.  A walk whose estimated size exceeds physical memory raises
-    MemoryError before anything is allocated.
+    ell >= 5.  An n below 1 raises ValueError, and a walk whose estimated
+    size exceeds physical memory raises MemoryError, before anything is
+    written or allocated.
     """
     if kind not in WALK_KINDS:
         raise ValueError(f"walk kind must be one of {WALK_KINDS}")
+    if n < 1:
+        raise ValueError(f"a walk needs at least one step, got n = {n}")
     require_memory(_walk_bytes(kind, n), f"a walk of {n} steps needs about")
     if kind == "all":
         table = partition_parity(n + 1)

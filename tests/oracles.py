@@ -72,6 +72,36 @@ def exact_partitions(n: int) -> list[int]:
     return table
 
 
+def series_bits(f, n: int | None = None) -> np.ndarray:
+    """The first n (default valid_len) coefficients of the series f as a
+    0/1 uint8 array, read through its public coefficient reads."""
+    return f.coeffs_at(np.arange(f.valid_len if n is None else n))
+
+
+def series_from_bits(bits, valid_len: int | None = None):
+    """The series whose coefficient n is bits[n] & 1, for n < valid_len
+    (default len(bits)), built from its support."""
+    from etaparity.f2series import F2Series
+    bits = np.asarray(bits)
+    n = len(bits) if valid_len is None else valid_len
+    return F2Series.from_support(np.flatnonzero(bits[:n] & 1), n)
+
+
+def eta_density(r: int, prime_bound: int):
+    """(direct, formula) parity densities of P_r: the batch of one."""
+    from etaparity.density import eta_densities
+    return eta_densities([r], prime_bound)[0]
+
+
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo <= p <= hi, ascending, as one read-only int64
+    array: the blocks of primes.prime_blocks(lo, hi) concatenated."""
+    from etaparity.primes import prime_blocks
+    primes = np.concatenate([np.zeros(0, dtype=np.int64), *prime_blocks(lo, hi)])
+    primes.flags.writeable = False
+    return primes
+
+
 def trial_division_primes(n: int) -> list[int]:
     return [p for p in range(2, n + 1)
             if p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))]
@@ -81,7 +111,6 @@ def first_primes_ge5(count: int) -> np.ndarray:
     """The first `count` primes starting from 5, one slice of the primes
     below walks._nth_prime_bound(count): Rosser's p_k < k(ln k + ln ln k)
     holds for k >= 6, and the floor of 30 covers the first three."""
-    from etaparity.primes import prime_array
     from etaparity.walks import _nth_prime_bound
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -102,7 +131,7 @@ class SubseqIndex:
 def mu_delta(ell: int, r: int) -> SubseqIndex:
     """Order at infinity mu and coefficient index delta of the ell-shift of P_r,
     one prime at a time (the scalar reference for the index at which
-    ``density.eta_density`` reads pnt^r)."""
+    ``density.eta_densities`` reads pnt^r)."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     if ell < 5 or any(ell % d == 0 for d in range(2, math.isqrt(ell) + 1)):
@@ -203,7 +232,6 @@ def odd_coeff_density_shifted(f, p: int, prime_bound: int):
     prime ell != p); p = 2 gives the U_2 route.
     """
     from etaparity.density import DensityEstimate, PrecisionError
-    from etaparity.primes import prime_array
     if f.valid_len <= p * prime_bound:
         raise PrecisionError(
             f"series valid to {f.valid_len} cannot be scanned to {p}*{prime_bound}")
@@ -265,7 +293,7 @@ def walk_arrays(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     largest delta_ell."""
     from etaparity.walks import delta_ell, partition_parity
     if kind == "all":
-        par = partition_parity(n + 1).bits()[1:n + 1]
+        par = series_bits(partition_parity(n + 1))[1:n + 1]
     else:
         deltas = delta_ell(first_primes_ge5(n))
         par = partition_parity(int(deltas.max()) + 1).coeffs_at(deltas)

@@ -21,7 +21,8 @@ from etaparity import cli, density, primes, suites, walks
 from etaparity.cli import main
 from etaparity.f2series import F2Series
 from etaparity.level9 import ABELIAN_CLASSES
-from etaparity.primes import prime_array
+
+from oracles import prime_array
 
 
 def run_cli(*argv):

@@ -14,16 +14,15 @@ from etaparity import density as density_mod
 from etaparity import genforms
 from etaparity import primes as primes_mod
 from etaparity.density import (DensityEstimate, EmptyScanError, PrecisionError,
-                               eta_densities, eta_density, eta_density_exact,
+                               eta_densities, eta_density_exact,
                                density_report_row, odd_coeff_density,
                                verify_bounds, REPORT_COLUMNS)
 from etaparity.genforms import (EtaPowerParams, c_series, delta_series,
                                 least_shift, p_r_series, pnt_power_bits)
-from etaparity.primes import (BLOCK_PRIMES, is_prime, prime_array, prime_blocks,
-                              segmented_sieve)
+from etaparity.primes import is_prime, prime_blocks, segmented_sieve
 
-from oracles import (eta_density_one_at_a_time, mu_delta,
-                     odd_coeff_density_shifted, q_domain_route_hits,
+from oracles import (eta_density, eta_density_one_at_a_time, mu_delta,
+                     odd_coeff_density_shifted, prime_array, q_domain_route_hits,
                      square_and_multiply, trial_division_primes)
 
 BOUND = 20_000
@@ -58,40 +57,31 @@ class TestPrimeSieve:
     def test_smallest_bounds(self, bound, want):
         assert table_primes(segmented_sieve(bound)) == want
 
-    # a segment of 2^16 odd integers ends at 2^17 - 1; 367 is the least
-    # prime whose square, 134 689, lies past that first segment
-    @pytest.mark.parametrize("bound", [2**17 - 3, 2**17 - 1, 2**17, 2**17 + 1,
-                                       2**17 + 3, 367**2 - 2, 367**2, 367**2 + 2])
+    # a block of 2^15 odd integers ends at 2^16 - 1, and the second at
+    # 2^17 - 1; 257 is the least prime whose square, 66 049, lies past the
+    # first block, and 367 the least whose square lies past the second
+    @pytest.mark.parametrize("bound", [
+        2**16 - 3, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 3, 257**2 - 2, 257**2,
+        257**2 + 2, 2**17 - 3, 2**17 - 1, 2**17, 2**17 + 1, 2**17 + 3, 367**2 - 2,
+        367**2, 367**2 + 2])
     def test_segment_edges_against_trial_division(self, bound, primes_to_135000):
         assert table_primes(segmented_sieve(bound)) == [
             p for p in primes_to_135000 if p <= bound]
 
     @pytest.mark.parametrize("segment", [1, 8, 32])
     def test_short_segments_against_trial_division(self, segment, monkeypatch):
-        # with 32 odd integers to a segment, segments end at 63, 127, 191:
-        # 11^2 = 121 lies in the second and 11's next odd multiple, 143, in
-        # the third, and 13^2 = 169 lies two segments past 13
-        monkeypatch.setattr(primes_mod, "_SEGMENT", segment)
+        # with 32 odd integers to a block, blocks and segments end at 63,
+        # 127, 191: 11^2 = 121 lies in the second and 11's next odd
+        # multiple, 143, in the third, and 13^2 = 169 lies two blocks past
+        # 13; a block of 1 or 8 odd integers is sieved 8 at a time, so its
+        # flags pack into whole bytes
+        monkeypatch.setattr(primes_mod, "BLOCK_ODDS", segment)
         want = trial_division_primes(600)
         for bound in range(601):
-            got = table_primes(segmented_sieve(bound))
-            assert got == [p for p in want if p <= bound], (segment, bound)
-
-    @pytest.mark.parametrize("slots, last", [
-        ([0, 256], 0),        # 1 and 513: a gap of 512 needs 9 bits
-        ([0, 1, 257], 0),     # 3 and 515, after a gap that fits
-        ([0, 256, 257], 0),   # the wrapped byte alone would read 0
-        ([300], 44),          # the gap into a segment's first slot
-    ])
-    def test_half_gap_guard(self, slots, last):
-        out = np.zeros(len(slots), dtype=np.uint8)
-        with pytest.raises(ValueError, match="512"):
-            primes_mod._put_half_gaps(out, np.array(slots), last)
-
-    def test_half_gaps_up_to_510_fit(self):
-        out = np.zeros(3, dtype=np.uint8)
-        primes_mod._put_half_gaps(out, np.array([1, 2, 257]), 0)
-        assert out.tolist() == [1, 1, 255]
+            table = segmented_sieve(bound)
+            assert table_primes(table) == [p for p in want if p <= bound], (segment, bound)
+            assert all(0 < len(block) <= segment
+                       for block in table.blocks(0, bound)), (segment, bound)
 
     @pytest.mark.parametrize("lo, hi", [
         (2, 997), (0, 997), (-7, 3), (2, 2), (4, 4), (24, 28), (500, 499),
@@ -107,8 +97,8 @@ class TestPrimeSieve:
         (2, 997), (0, 997), (-7, 3), (2, 2), (4, 4), (24, 28), (500, 499),
         (997, 2), (991, 997), (992, 997), (997, 997), (998, 997)])
     def test_blocks_against_trial_division(self, lo, hi, monkeypatch):
-        # 16 primes to a block, so 168 primes to 997 take 11 blocks
-        monkeypatch.setattr(primes_mod, "BLOCK_PRIMES", 16)
+        # 16 odd integers to a block, so the 168 primes to 997 take 32 blocks
+        monkeypatch.setattr(primes_mod, "BLOCK_ODDS", 16)
         cache_primes_to(monkeypatch, 997)
         want = [p for p in trial_division_primes(997) if lo <= p <= hi]
         blocks = list(prime_blocks(lo, hi))
@@ -116,21 +106,20 @@ class TestPrimeSieve:
         assert all(0 < len(block) <= 16 for block in blocks)
 
     def test_blocks_with_ends_at_block_edges(self, monkeypatch):
-        monkeypatch.setattr(primes_mod, "BLOCK_PRIMES", 16)
+        monkeypatch.setattr(primes_mod, "BLOCK_ODDS", 16)
         cache_primes_to(monkeypatch, 997)
         every = trial_division_primes(997)
-        # every[16 * c] opens block c, every[16 * c - 1] closes block c - 1
-        for c in range(1, 11):
-            for i, j in [(16 * c, 16 * c + 15), (16 * c - 1, 16 * c),
-                         (16 * c, 16 * (c + 1) - 1), (0, 16 * c - 1)]:
-                j = min(j, len(every) - 1)
-                for lo, hi in [(every[i], every[j]), (every[i] - 1, every[j] + 1),
-                               (every[i] + 1, every[j] - 1)]:
-                    blocks = list(prime_blocks(lo, hi))
-                    got = [p for block in blocks for p in block.tolist()]
-                    assert got == [p for p in every if lo <= p <= hi], (lo, hi)
+        # block c holds the primes in [32c, 32c + 32), 2 among them in block 0
+        for c in range(1, 32):
+            edge = 32 * c
+            for lo, hi in [(edge - 1, edge + 1), (edge + 1, edge + 31),
+                           (edge - 31, edge - 1), (edge - 3, edge + 3),
+                           (0, edge - 1), (edge, 997), (edge + 1, edge + 33)]:
+                blocks = list(prime_blocks(lo, min(hi, 997)))
+                got = [p for block in blocks for p in block.tolist()]
+                assert got == [p for p in every if lo <= p <= hi], (lo, hi)
         lengths = [len(block) for block in prime_blocks(2, 997)]
-        assert lengths == [16] * 10 + [8]
+        assert lengths == [sum(p // 32 == c for p in every) for c in range(32)]
 
     def test_slices_are_read_only(self):
         ps = prime_array(5, 1000)
@@ -147,24 +136,18 @@ class TestPrimeSieve:
     @pytest.mark.parametrize("bound", [0, 1, 2, 100, 10**5])
     def test_sieve_is_read_only_int64(self, bound):
         table = segmented_sieve(bound)
-        assert table.gaps.dtype == np.uint8 and table.marks.dtype == np.int64
+        assert table.packed.dtype == np.uint8
         for block in table.blocks(0, bound):
             assert block.dtype == np.int64 and not block.flags.writeable
         got = prime_array(0, bound)
         assert got.dtype == np.int64 and not got.flags.writeable
 
-    def test_store_takes_one_byte_per_prime(self):
+    def test_store_takes_one_bit_per_odd_integer(self):
+        # 5 * 10^5 odd integers to 10^6, and no int64 array beside them
         table = segmented_sieve(10**6)
-        assert table.gaps.nbytes == 78_498  # pi(10^6)
-        assert table.marks.nbytes == 8 * -(-78_498 // BLOCK_PRIMES)
-
-    def test_prime_count_bound_holds(self):
-        # the store is allocated at this bound before the sieve counts
-        every = prime_array(0, 10**6)
-        for x in [*range(0, 2000), *range(2000, 10**6 + 1, 997), 10**6]:
-            count = int(np.searchsorted(every, x, side="right"))
-            assert count <= primes_mod._prime_count_bound(x), x
-        assert primes_mod._prime_count_bound(10**6) <= 1.03 * len(every)
+        held = [getattr(table, name) for name in primes_mod.PrimeTable.__slots__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert [(a.dtype, a.nbytes) for a in arrays] == [(np.uint8, 62_500)]
 
     def test_regrows_to_at_least_double(self, monkeypatch):
         cache_primes_to(monkeypatch, 100)
@@ -417,12 +400,12 @@ class TestEtaDensityRoutes:
         assert set(requests) == odd_parts
 
     def test_blocks_add_up_to_one_pass(self, monkeypatch):
-        # 100-prime blocks, so a scan to 10^4 (1227 primes) takes 13
+        # 100 odd integers to a block, so a scan to 10^4 takes 50 blocks
         bound = 10_000
         whole = {r: eta_density(r, bound) for r in (1, 5, 18, 72, 127)}
         f = delta_series(bound + 1)
         one_pass = odd_coeff_density(f, bound)
-        monkeypatch.setattr(primes_mod, "BLOCK_PRIMES", 100)
+        monkeypatch.setattr(primes_mod, "BLOCK_ODDS", 100)
         cache_primes_to(monkeypatch, bound)
         monkeypatch.setattr(density_mod, "_scans", {})
         assert {r: eta_density(r, bound) for r in whole} == whole
@@ -443,7 +426,7 @@ class TestEtaDensityRoutes:
                 tracemalloc.stop()
         small, large = transients
         assert large < 1.25 * small
-        assert large < density_mod._SCAN_BYTES_PER_PRIME * BLOCK_PRIMES
+        assert large < density_mod._SCAN_BYTES_PER_PRIME * 8192
 
     def test_zero_prime_scans_raise(self):
         for bound in (-7, 0, 4):

@@ -1,7 +1,8 @@
 """Import layering: every module imports on its own, `primes` is a leaf,
-only `f2series` knows the packed word layout, `density` loads no
-form-algebra module, only the CLI sets a one-thread BLAS, and a CLI command
-loads only the modules it runs."""
+only `f2series` knows the packed word layout, every public name has a
+caller in the package, `density` loads no form-algebra module, only the
+CLI sets a one-thread BLAS, and a CLI command loads only the modules it
+runs."""
 
 import ast
 import os
@@ -82,6 +83,53 @@ def test_only_f2series_knows_the_word_layout(module):
     path = Path(SRC) / "etaparity" / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _word_layout_reads(tree) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node, is_method) for each public module-level function, class
+    and constant of a module, and each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node, False
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for sub in methods:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub, True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node, False
+
+
+def _references(node: ast.AST, name: str, is_method: bool) -> bool:
+    """Whether node refers to name: as an attribute (obj.name or
+    module.name), and for a module-level name also as a bare name or an
+    imported alias."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == name
+    if is_method:
+        return False
+    if isinstance(node, ast.Name):
+        return node.id == name and not isinstance(node.ctx, ast.Store)
+    return isinstance(node, ast.alias) and node.name == name
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # a name that only the tests call belongs in tests/oracles.py, or nowhere
+    trees = {module: ast.parse((Path(SRC) / "etaparity" / f"{module}.py").read_text())
+             for module in MODULES}
+    unused = []
+    for module, tree in trees.items():
+        for qualname, definition, is_method in _public_definitions(tree):
+            name = qualname.rpartition(".")[2]
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(_references(node, name, is_method)
+                       for other in trees.values() for node in ast.walk(other)
+                       if id(node) not in inside):
+                unused.append(f"{module}.{qualname}")
+    assert unused == []
 
 
 def test_density_loads_no_form_algebra_module():

@@ -21,7 +21,7 @@ from etaparity.walks import delta_ell, emit_walk, partition_parity
 
 from oracles import (delta_ell_from_window, exact_partitions, first_primes_ge5,
                      mask_to_bits, naive_eta_product_mask,
-                     naive_series_inverse_bits, trial_division_primes,
+                     naive_series_inverse_bits, series_bits, trial_division_primes,
                      walk_arrays, walk_csv_reference, walk_rows_reference)
 
 
@@ -42,13 +42,13 @@ def read_walk(kind, n, tmp_path):
 class TestPartitionParity:
     def test_first_ten(self):
         table = partition_parity(11)
-        assert list(table.bits()[1:]) == [1, 0, 1, 1, 1, 1, 1, 0, 0, 0]
+        assert list(series_bits(table)[1:]) == [1, 0, 1, 1, 1, 1, 1, 0, 0, 0]
         assert table.coeff(0) == 1
 
     def test_against_exact_partitions(self):
         exact = exact_partitions(60)
         table = partition_parity(61)
-        assert [p % 2 for p in exact] == list(table.bits())
+        assert [p % 2 for p in exact] == list(series_bits(table))
 
     def test_delta5_value(self):
         # p(delta_5) = p(4) = 5, odd
@@ -58,18 +58,18 @@ class TestPartitionParity:
         n = 2000
         product = mask_to_bits(naive_eta_product_mask(n), n)
         inv = naive_series_inverse_bits(product, n)
-        assert np.array_equal(partition_parity(n).bits(), inv)
+        assert np.array_equal(series_bits(partition_parity(n)), inv)
 
     def test_every_short_length_against_generic_inversion(self):
         # odd and even final lengths, and the smallest n = 1, 2, 3
         product = mask_to_bits(naive_eta_product_mask(300), 300)
         inv = naive_series_inverse_bits(product, 300)
         for n in range(1, 301):
-            assert np.array_equal(partition_parity(n).bits(), inv[:n]), n
+            assert np.array_equal(series_bits(partition_parity(n)), inv[:n]), n
 
     def test_pentagonal_recurrence_holds(self):
         n = 4000
-        par = partition_parity(n).bits()
+        par = series_bits(partition_parity(n))
         gs = pentagonal_numbers(n)
         for m in range(1, n, 97):
             acc = 0
@@ -161,6 +161,14 @@ class TestWalks:
         out = io.BytesIO()
         with pytest.raises(ValueError):
             emit_walk("bogus", 10, out)
+        assert out.getvalue() == b""
+
+    @pytest.mark.parametrize("kind", walks.WALK_KINDS)
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_steps_raise_before_writing(self, kind, n):
+        out = io.BytesIO()
+        with pytest.raises(ValueError, match="at least one step"):
+            emit_walk(kind, n, out)
         assert out.getvalue() == b""
 
 
@@ -301,9 +309,10 @@ def test_walk_holds_bits_not_per_step_arrays(tmp_path):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_delta_walk_holds_a_byte_per_prime(tmp_path):
     # the 24-inverse walk to 5 * 10^5 steps sieves primes to 7.8 * 10^6:
-    # an int64 per prime sieved from a flag byte per odd integer took about
-    # 9.5 MB above the imports; the half-gap table takes one byte per prime
-    # and one 64 KB segment of flags while it is sieved
+    # an int64 per prime sieved from a flag byte per odd integer takes
+    # about 9.5 MB above the imports; the packed table takes one bit per
+    # odd integer, fewer bytes than one per prime, and one 32 KB segment
+    # of flags while it is sieved
     out = tmp_path / "walk.csv"
     walk = child_max_rss("import sys; from etaparity.cli import main; sys.exit(main())",
                          "walk", "--kind", "delta-subseq", "--n", "500000",
