@@ -249,8 +249,8 @@ def substitute_qk(f: F2Series, k: int, n_out: int | None = None) -> F2Series:
     n = k * f.valid_len if n_out is None else min(k * f.valid_len, n_out)
     if k == 1:
         return f.truncate(n)
-    idx = f.support() * k
-    return F2Series.from_support(idx[idx < n], n)
+    # the exponents below ceil(n / k) are the ones that land below n
+    return F2Series.from_support(f.support(-(-n // k)) * k, n)
 
 
 def every(f: F2Series, k: int, n: int) -> F2Series:

@@ -3,12 +3,14 @@
 Level-1 forms are GF(2) polynomials in the generator delta; level-9 forms
 are polynomials in F.  A ``GenPoly`` stores the exponent set; its
 q-expansion sums the generator powers g^e = q^e * h^e(q^s) served by the
-one cache in ``genforms`` (``power_in_q``).  The Hecke action is computed
-by expanding to a q-series, applying the operator, and greedily
-re-expressing in generator powers (the generator power g^e has leading
-term q^e, so the lowest surviving exponent of the residual identifies the
-next monomial); the image is checked to be zero past the degree bound on
-as many coefficients as lie below it.
+one cache in ``genforms`` (``power_in_q``).
+
+The Hecke action reads no q-series: T_ell g^n is the n-th power sum of the
+ell + 1 roots of the mod-2 modular equation Phi_ell(X, g) (Nicolas and
+Serre, 2012), which Newton's identities give from its coefficients e_i(g)
+(``MODULAR_EQUATIONS``), and U_2 F^n at level 9 is one power of F.  Each
+operator keeps a growing list of rows, the image of g^n as an int with bit
+i for g^i, and a polynomial's image is the XOR of its exponents' rows.
 
 The adapted basis m(a,b) dual to monomials in (T_3, T_5) is never
 materialized as q-series: duality makes a form's coordinates directly
@@ -28,8 +30,6 @@ import numpy as np
 from . import cheby
 from .f2series import F2Series, add
 from .genforms import power_in_q
-from .hecke import t_op, u_op
-from .primes import is_prime
 
 LEVELS = (1, 9)
 _LEVEL_GENERATOR = {1: "delta", 9: "F"}
@@ -47,11 +47,6 @@ class GenPoly:
             raise ValueError(f"level must be one of {LEVELS}")
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        """Largest exponent, or -1 for the zero polynomial."""
-        return max(self.exponents, default=-1)
 
     def is_zero(self) -> bool:
         return not self.exponents
@@ -85,70 +80,67 @@ def genpoly_series(p: GenPoly, n: int) -> F2Series:
     return acc
 
 
-def to_genpoly(f: F2Series, level: int, max_degree: int) -> GenPoly:
-    """Re-express a series as a generator polynomial of degree <= max_degree.
-
-    Greedy elimination by lowest-order term: g^e starts at q^e, so the
-    lowest nonzero index of the residual is the next exponent.  The series
-    must carry at least 2*(max_degree+1) coefficients, so that the residual
-    is checked on as many coefficients past the degree bound as below it:
-    a residual starting above max_degree is a ValueError, never a longer
-    polynomial.  A zero residual on every coefficient certifies the result.
-    """
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}")
-    if f.valid_len < 2 * (max_degree + 1):
-        raise ValueError("series too short to certify a re-expression to this degree")
-    residual = f
-    exponents = []
-    while not residual.is_zero():
-        # the lowest term, unpacked only up to the degree bound
-        head = residual.support(max_degree + 1)
-        if not len(head):
-            raise ValueError(
-                f"not a generator polynomial of degree <= {max_degree} at this "
-                f"precision: residual starts at q^{int(residual.support()[0])}")
-        e = int(head[0])
-        exponents.append(e)
-        residual = add(residual, power_in_q(_LEVEL_GENERATOR[level], e, f.valid_len))
-    return GenPoly(level, frozenset(exponents))
+# The mod-2 modular equation Phi_ell(X, g) = X^(ell+1) + sum_i e_i(g) X^(ell+1-i)
+# of each Hecke index at each level, as {i: the exponents of g in e_i}; the
+# e_i missing here are zero.  Each satisfies the q-series identity
+# Phi_ell(g(q^ell), g(q)) = 0, and no table with one term of one e_i
+# toggled does.
+MODULAR_EQUATIONS: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {
+    (1, 3): {3: (1,), 4: (4,)},
+    (1, 5): {2: (2,), 4: (4,), 5: (1,), 6: (6,)},
+    (1, 7): {6: (2,), 7: (1,), 8: (8,)},
+    (9, 5): {2: (1,), 4: (2,), 5: (1, 4), 6: (6,)},
+    (9, 7): {4: (1, 4), 7: (1, 4), 8: (8,)},
+    (9, 13): {2: (2,), 4: (1,), 6: (3,), 7: (1, 4), 8: (5,), 9: (3, 6),
+              10: (1, 4, 7), 11: (5, 8), 12: (12,), 13: (1, 4, 7, 10), 14: (14,)},
+}
 
 
-# every certified image so far, keyed by (form, ell)
-_images: dict[tuple[GenPoly, int], GenPoly] = {}
+def u2_exponent(n: int) -> int:
+    """The exponent of U_2 F^n at level 9, from the order-2 Hecke recurrence
+    (characteristic polynomial X^2 + F): n/2 for even n, (n+3)/2 for odd n."""
+    return n // 2 if n % 2 == 0 else (n + 3) // 2
+
+
+# for each (level, ell) asked for so far, the images of g^0, g^1, ... as ints
+# with bit i for g^i, grown as higher powers are asked for
+_rows: dict[tuple[int, int], list[int]] = {}
+
+
+def _image(level: int, ell: int, mask: int) -> int:
+    """The image under T_ell (U_2 for ell = 2) of the polynomial with bit i
+    for g^i at this level: the XOR of the rows of its exponents."""
+    e = MODULAR_EQUATIONS.get((level, ell))
+    if e is None and (level, ell) != (9, 2):
+        raise ValueError(f"no Hecke operator of index {ell} on level-{level} polynomials")
+    rows = _rows.setdefault((level, ell), [])
+    for n in range(len(rows), mask.bit_length()):
+        if e is None:
+            row = 1 << u2_exponent(n)
+        else:
+            # Newton's identity mod 2: t_n = sum_(i < n) e_i t_(n-i) + [n odd] e_n
+            row = sum(1 << j for j in e.get(n, ())) if n % 2 else 0
+            for i, exponents in e.items():
+                if i < n:
+                    for j in exponents:
+                        row ^= rows[n - i] << j
+        rows.append(row)
+    image = 0
+    while mask:
+        low = mask & -mask
+        image ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return image
 
 
 def hecke_on_genpoly(p: GenPoly, ell: int) -> GenPoly:
-    """Apply T_ell (or U_2 at level 9) to a generator polynomial.
-
-    T_ell never raises the generator degree; U_2 at level 9 can raise low
-    degrees (U_2 F = F^2), to at most (deg+3)/2.  The polynomial is expanded
-    to 2*ell*(bound+1) coefficients, so the image has 2*(bound+1), and
-    to_genpoly re-expresses it at degree <= bound.  An image that is not a
-    polynomial within the bound leaves a residual past it and raises.
-    Each (p, ell) is computed once; a repeat returns the kept image.
-    """
+    """Apply T_ell (or U_2 at level 9) to a generator polynomial; (p.level,
+    ell) must be (9, 2) or a key of MODULAR_EQUATIONS, else ValueError."""
     if p.is_zero():
         return p
-    got = _images.get((p, ell))
-    if got is not None:
-        return got
-    deg = p.degree
-    if ell == 2:
-        if p.level != 9:
-            raise ValueError("U_2 on polynomials is a level-9 operation")
-        bound = max(deg, (deg + 3) // 2)
-        op = u_op
-    else:
-        if p.level == 9 and ell == 3:
-            raise ValueError("T_3 is not in the level-9 Hecke algebra")
-        if not is_prime(ell):
-            raise ValueError(f"invalid Hecke index {ell}")
-        bound = deg
-        op = t_op
-    image = op(genpoly_series(p, 2 * ell * (bound + 1)), ell)
-    got = _images[(p, ell)] = to_genpoly(image, p.level, bound)
-    return got
+    image = _image(p.level, ell, sum(1 << e for e in p.exponents))
+    return GenPoly(p.level, frozenset(
+        i for i, bit in enumerate(reversed(bin(image))) if bit == "1"))
 
 
 def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> np.ndarray:
@@ -166,15 +158,13 @@ def code_matrix(p: GenPoly, a_max: int = 8, b_max: int = 8) -> np.ndarray:
     if a_max < 1 or b_max < 1:
         raise ValueError("window must be at least 1x1")
     entries = np.zeros((a_max, b_max), dtype=np.uint8)
-    row = p
+    row = sum(1 << e for e in p.exponents)
     for a in range(a_max):
         col = row
         for b in range(b_max):
-            entries[a, b] = 1 in col.exponents
-            if b + 1 < b_max:
-                col = hecke_on_genpoly(col, 5)
-        if a + 1 < a_max:
-            row = hecke_on_genpoly(row, 3)
+            entries[a, b] = col >> 1 & 1
+            col = _image(1, 5, col)
+        row = _image(1, 3, row)
     return entries
 
 

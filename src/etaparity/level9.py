@@ -17,7 +17,7 @@ import numpy as np
 from .f2series import F2Series
 from .genforms import CongruenceTheta, congruence_theta
 from .hecke import u_op
-from .level1 import GenPoly, genpoly_pow, genpoly_series
+from .level1 import GenPoly, genpoly_pow, genpoly_series, u2_exponent
 from .primes import prime_blocks
 
 _ODD = (2, frozenset({1}))
@@ -59,10 +59,8 @@ def k9_basis_element(n: int) -> GenPoly:
 
 
 def u2_fn_expected(n: int) -> GenPoly:
-    """U_2 F^n from the order-2 Hecke recurrence (char. polynomial X^2 + F)."""
-    if n % 2 == 0:
-        return GenPoly(9, frozenset({n // 2}))
-    return GenPoly(9, frozenset({(n + 3) // 2}))
+    """U_2 F^n from the order-2 Hecke recurrence (``level1.u2_exponent``)."""
+    return GenPoly(9, frozenset({u2_exponent(n)}))
 
 
 def u3_fn_expected(n: int) -> GenPoly:

@@ -13,8 +13,8 @@ prime up to about 5 * 10^7.  Block c decodes as 2i + 1 for the set bits i
 of its span.
 
 ``segmented_sieve`` builds the store by the segmented sieve of
-Eratosthenes (Bays and Hudson, 1977): one block of odd integers at a time,
-one flag byte each (32 KB, below glibc's default mmap threshold), crossed
+Eratosthenes (Bays and Hudson, 1977): two blocks of odd integers at a time,
+one flag byte each (64 KB, below glibc's default mmap threshold), crossed
 off by the odd primes up to the square root of the bound, which come from
 a table built the same way to that root, and packed into the store.  The
 bytes it needs (``sieve_bytes``) are checked against physical memory with
@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-# odd integers per block and per sieve segment, one flag bit each in the
-# store; the first block, the most crowded, holds 6 542 primes
+# odd integers per block and per half sieve segment, one flag bit each in
+# the store; the first block, the most crowded, holds 6 542 primes
 BLOCK_ODDS = 1 << 15
 
 
@@ -62,7 +62,7 @@ def sieve_bytes(bound: int) -> int:
     """The bytes that segmented_sieve(bound) allocates, about: the packed
     store and one segment of flag bytes."""
     odds = _odds(bound)
-    return -(-odds // 8) + min(BLOCK_ODDS, odds)
+    return -(-odds // 8) + min(2 * BLOCK_ODDS, odds)
 
 
 class PrimeTable:
@@ -115,7 +115,7 @@ def segmented_sieve(bound: int) -> PrimeTable:
     root = math.isqrt(bound)
     base = np.concatenate([np.zeros(0, dtype=np.int64),
                            *(segmented_sieve(root).blocks(3, root) if root > 2 else [])])
-    step = -(-BLOCK_ODDS // 8) * 8  # a segment packs into whole bytes
+    step = -(-2 * BLOCK_ODDS // 8) * 8  # a segment packs into whole bytes
     for lo in range(0, odds, step):
         hi = min(lo + step, odds)
         flags = np.ones(hi - lo, dtype=bool)
@@ -129,6 +129,7 @@ def segmented_sieve(bound: int) -> PrimeTable:
         for p, at in zip(odd.tolist(), first.tolist()):
             flags[at::p] = False
         packed[lo >> 3:(hi + 7) >> 3] = np.packbits(flags, bitorder="little")
+        del flags  # before the next segment's flags are allocated
     return PrimeTable(bound, packed)
 
 

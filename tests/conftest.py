@@ -11,7 +11,7 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def fresh_result_dicts(monkeypatch):
-    """Each test starts with no kept density scan and no kept Hecke image,
+    """Each test starts with no kept density scan and no kept Hecke row,
     so a count or a patched operator sees the work done afresh."""
     monkeypatch.setattr(density, "_scans", {})
-    monkeypatch.setattr(level1, "_images", {})
+    monkeypatch.setattr(level1, "_rows", {})

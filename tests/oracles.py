@@ -6,7 +6,9 @@ the packed numpy engine under test.  The exceptions are the full-q
 generator powers and the scans over them: square-and-multiply in q, built
 here from the package's ``mul`` and ``substitute_qk`` only, against which
 the package's generator-power engine (h^e in the compressed variable, a
-Frobenius product over the bits of e) is checked bit for bit.
+Frobenius product over the bits of e) is checked bit for bit, and the
+re-expression of a series in generator powers (``to_genpoly``), against
+which the Hecke rows of ``level1`` are checked.
 """
 
 from __future__ import annotations
@@ -173,6 +175,41 @@ def chebyshev_mod2(n: int, deg_max: int) -> int:
     for _ in range(2, n + 1):
         prev2, cur = cur, ((cur << 1) & mask) ^ prev2
     return cur
+
+
+def to_genpoly(f, level: int, max_degree: int):
+    """Re-express a series as a generator polynomial of degree <= max_degree.
+
+    Greedy elimination by lowest-order term: g^e starts at q^e, so the
+    lowest nonzero index of the residual is the next exponent.  The series
+    must carry at least 2*(max_degree+1) coefficients, so that the residual
+    is checked on as many coefficients past the degree bound as below it:
+    a residual starting above max_degree is a ValueError, never a longer
+    polynomial.  A zero residual on every coefficient certifies the result.
+    This is the q-series route against which the rows of
+    ``level1.hecke_on_genpoly`` are checked.
+    """
+    from etaparity.f2series import add
+    from etaparity.genforms import power_in_q
+    from etaparity.level1 import _LEVEL_GENERATOR, LEVELS, GenPoly
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}")
+    if f.valid_len < 2 * (max_degree + 1):
+        raise ValueError("series too short to certify a re-expression to this degree")
+    gen = _LEVEL_GENERATOR[level]
+    residual = f
+    exponents = []
+    while not residual.is_zero():
+        # the lowest term, unpacked only up to the degree bound
+        head = residual.support(max_degree + 1)
+        if not len(head):
+            raise ValueError(
+                f"not a generator polynomial of degree <= {max_degree} at this "
+                f"precision: residual starts at q^{int(residual.support()[0])}")
+        e = int(head[0])
+        exponents.append(e)
+        residual = add(residual, power_in_q(gen, e, f.valid_len))
+    return GenPoly(level, frozenset(exponents))
 
 
 def odd_square_triple_parity(n_max: int) -> set[int]:

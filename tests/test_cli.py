@@ -257,22 +257,6 @@ class TestVerify:
         for (r, n), count in read.items():
             assert count == len(prime_array(5, n - 1)), (r, n)
 
-    def test_dihedral_code_computes_each_image_once(self, monkeypatch):
-        # code_matrix asks for 113 nonzero images, of 41 distinct (form, ell)
-        from etaparity import level1
-        t_op = level1.t_op
-        images = []
-
-        def counted(f, ell):
-            images.append(ell)
-            return t_op(f, ell)
-
-        monkeypatch.setattr(level1, "t_op", counted)
-        code, _ = run_cli("verify", "--suite", "dihedral-code",
-                          "--prime-bound", "10000")
-        assert code == 0
-        assert len(images) <= 41
-
 
 class TestWalk:
     def test_writes_rows(self, tmp_path):

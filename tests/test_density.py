@@ -57,9 +57,10 @@ class TestPrimeSieve:
     def test_smallest_bounds(self, bound, want):
         assert table_primes(segmented_sieve(bound)) == want
 
-    # a block of 2^15 odd integers ends at 2^16 - 1, and the second at
-    # 2^17 - 1; 257 is the least prime whose square, 66 049, lies past the
-    # first block, and 367 the least whose square lies past the second
+    # a block of 2^15 odd integers ends at 2^16 - 1, and the second, which
+    # ends the first segment of two blocks, at 2^17 - 1; 257 is the least
+    # prime whose square, 66 049, lies past the first block, and 367 the
+    # least whose square lies past the second
     @pytest.mark.parametrize("bound", [
         2**16 - 3, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 3, 257**2 - 2, 257**2,
         257**2 + 2, 2**17 - 3, 2**17 - 1, 2**17, 2**17 + 1, 2**17 + 3, 367**2 - 2,
@@ -68,13 +69,14 @@ class TestPrimeSieve:
         assert table_primes(segmented_sieve(bound)) == [
             p for p in primes_to_135000 if p <= bound]
 
-    @pytest.mark.parametrize("segment", [1, 8, 32])
+    @pytest.mark.parametrize("segment", [1, 8, 16, 32])
     def test_short_segments_against_trial_division(self, segment, monkeypatch):
-        # with 32 odd integers to a block, blocks and segments end at 63,
-        # 127, 191: 11^2 = 121 lies in the second and 11's next odd
-        # multiple, 143, in the third, and 13^2 = 169 lies two blocks past
-        # 13; a block of 1 or 8 odd integers is sieved 8 at a time, so its
-        # flags pack into whole bytes
+        # a segment is two blocks: with 16 odd integers to a block, segments
+        # end at 63, 127, 191, so 11^2 = 121 lies in the second and 11's
+        # next odd multiple, 143, in the third, and 13^2 = 169 lies two
+        # segments past 13; with 32, segments end at 127 and 255; a block
+        # of 1 odd integer is sieved 8 at a time, so its flags pack into
+        # whole bytes
         monkeypatch.setattr(primes_mod, "BLOCK_ODDS", segment)
         want = trial_division_primes(600)
         for bound in range(601):
@@ -148,6 +150,20 @@ class TestPrimeSieve:
         held = [getattr(table, name) for name in primes_mod.PrimeTable.__slots__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert [(a.dtype, a.nbytes) for a in arrays] == [(np.uint8, 62_500)]
+
+    @pytest.mark.parametrize("bound", [10**6, 10**7])
+    def test_sieve_holds_about_sieve_bytes(self, bound):
+        # the store and one segment of two blocks of flag bytes, about what
+        # the sieve holds: the old segment was still held while the next one
+        # was allocated (1.40x), and a segment of one block holds 0.86x
+        assert primes_mod.sieve_bytes(bound) == -(-bound // 16) + 2 * primes_mod.BLOCK_ODDS
+        tracemalloc.start()
+        try:
+            segmented_sieve(bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 <= peak / primes_mod.sieve_bytes(bound) <= 1.25
 
     def test_regrows_to_at_least_double(self, monkeypatch):
         cache_primes_to(monkeypatch, 100)

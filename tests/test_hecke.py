@@ -65,6 +65,22 @@ class TestV:
         f = F2Series.from_support(sorted(exps), 200)
         assert u_op(substitute_qk(f, 5), 5) == f
 
+    def test_reads_only_the_support_it_keeps(self):
+        # T_5 of 2.4 * 10^6 coefficients keeps 480 000: its dilation reads
+        # the support below 96 000, not all of it (2.33 MB traced when it did)
+        f = p_r_series(127, 2_400_000)
+        tracemalloc.start()
+        try:
+            got = t_op(f, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
+        bits = series_bits(f)
+        want = bits[::5][:got.valid_len].copy()
+        want[::5] ^= bits[:-(-got.valid_len // 5)]
+        assert np.array_equal(series_bits(got), want)
+
     def test_vu_keeps_multiples(self):
         f = delta_series(1000)
         vu = substitute_qk(u_op(f, 3), 3)

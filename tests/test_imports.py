@@ -213,7 +213,10 @@ def test_cli_import_loads_only_the_walk_modules():
     (["verify", "--suite", "bounds", "--prime-bound", "10000"],
      sorted(WALK_MODULES + ["density", "suites"])),
     (["verify", "--suite", "thmD", "--prime-bound", "10000"],
-     sorted(WALK_MODULES + ["cheby", "density", "hecke", "level1", "suites"])),
+     sorted(WALK_MODULES + ["cheby", "density", "level1", "suites"])),
+    # the codes come from level1's rows: no Hecke operator on series
+    (["verify", "--suite", "dihedral-code", "--prime-bound", "10000"],
+     sorted(WALK_MODULES + ["cheby", "density", "level1", "suites"])),
 ])
 def test_each_command_loads_only_its_modules(argv, modules, tmp_path):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

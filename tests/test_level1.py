@@ -1,5 +1,6 @@
 """Generator-polynomial representation, Hecke action, codes, dihedral densities."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,21 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaparity import level1
-from etaparity.density import DensityEstimate
-from etaparity.f2series import F2Series, add
-from etaparity.genforms import c_series, delta_series
-from etaparity.level1 import (GenPoly, code_matrix, dihedral_density,
-                              genpoly_pow, genpoly_series, hecke_on_genpoly,
-                              to_genpoly)
+from etaparity import genforms, hecke, level1
+from etaparity.density import DensityEstimate, wn, zn
+from etaparity.f2series import F2Series, add, mul, substitute_qk
+from etaparity.genforms import c_series, delta_series, power_in_q
+from etaparity.hecke import t_op, u_op
+from etaparity.level1 import (MODULAR_EQUATIONS, GenPoly, code_matrix,
+                              dihedral_density, genpoly_pow, genpoly_series,
+                              hecke_on_genpoly)
 
-from oracles import square_and_multiply
+from oracles import square_and_multiply, to_genpoly
 
 
 class TestGenPoly:
-    def test_degree_and_zero(self):
-        assert GenPoly(1, frozenset()).degree == -1
-        assert GenPoly(1, frozenset({3, 7})).degree == 7
+    def test_is_zero(self):
+        assert GenPoly(1, frozenset()).is_zero()
+        assert not GenPoly(1, frozenset({3, 7})).is_zero()
+        assert not GenPoly(9, frozenset({0})).is_zero()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,7 +67,7 @@ class TestToGenPoly:
     def test_roundtrip_through_series(self, data, level, exponents):
         # every exponent set reads back from exactly 2*(bound+1) coefficients
         p = GenPoly(level, exponents)
-        bound = data.draw(st.integers(max(p.degree, 0), 20), label="bound")
+        bound = data.draw(st.integers(max(exponents, default=0), 20), label="bound")
         n = 2 * (bound + 1)
         series = genpoly_series(p, n)
         assert to_genpoly(series, level, bound) == p
@@ -131,39 +134,6 @@ class TestHeckeOnGenPoly:
         assert hecke_on_genpoly(d7, 5) == GenPoly(1, frozenset({3}))
         assert hecke_on_genpoly(d7, 7) == GenPoly(1, frozenset({1}))
 
-    def test_image_past_the_degree_bound_raises(self, monkeypatch):
-        # flip the last coefficient of every T_ell image: the re-expression
-        # must see a residual past the bound instead of a longer polynomial
-        t_op = level1.t_op
-
-        def flipped(f, ell):
-            image = t_op(f, ell)
-            last = F2Series.from_support([image.valid_len - 1], image.valid_len)
-            return add(image, last)
-
-        monkeypatch.setattr(level1, "t_op", flipped)
-        with pytest.raises(ValueError, match=r"residual starts at q\^23"):
-            hecke_on_genpoly(GenPoly(1, frozenset({11})), 3)
-
-    def test_emptied_images_are_certified_again(self, monkeypatch):
-        # a kept image answers a repeat without expanding again; emptied,
-        # the image is computed afresh and the patched T_ell still raises
-        t_op = level1.t_op
-        p = GenPoly(1, frozenset({11}))
-        want = hecke_on_genpoly(p, 3)
-        monkeypatch.setattr(level1, "t_op", None)
-        assert hecke_on_genpoly(p, 3) is want
-
-        def flipped(f, ell):
-            image = t_op(f, ell)
-            last = F2Series.from_support([image.valid_len - 1], image.valid_len)
-            return add(image, last)
-
-        monkeypatch.setattr(level1, "t_op", flipped)
-        monkeypatch.setattr(level1, "_images", {})
-        with pytest.raises(ValueError, match=r"residual starts at q\^23"):
-            hecke_on_genpoly(p, 3)
-
     def test_zero_shortcut(self):
         z = GenPoly(1, frozenset())
         assert hecke_on_genpoly(z, 3) is z
@@ -174,6 +144,59 @@ class TestHeckeOnGenPoly:
             hecke_on_genpoly(p, 2)
         with pytest.raises(ValueError):
             hecke_on_genpoly(p, 15)
+        # a prime whose modular equation is not tabulated
+        with pytest.raises(ValueError, match="no Hecke operator of index 11"):
+            hecke_on_genpoly(p, 11)
+
+
+# every (level, ell) with a tabulated modular equation, and U_2 at level 9
+HECKE_KEYS = sorted(MODULAR_EQUATIONS) + [(9, 2)]
+
+
+class TestModularEquations:
+    """The rows of hecke_on_genpoly come from MODULAR_EQUATIONS alone; the
+    q-series route (expand, apply, re-express) is the oracle."""
+
+    @pytest.mark.parametrize("level, ell", HECKE_KEYS)
+    def test_rows_match_the_q_series_oracle(self, level, ell):
+        for n in range(512):
+            # U_2 at level 9 raises F to F^2, and T_ell never raises the degree
+            bound = max(n, (n + 3) // 2) if ell == 2 else n
+            series = genpoly_series(GenPoly(level, frozenset({n})), 2 * ell * (bound + 1))
+            image = (u_op if ell == 2 else t_op)(series, ell)
+            want = to_genpoly(image, level, bound)
+            assert hecke_on_genpoly(GenPoly(level, frozenset({n})), ell) == want, n
+
+    @pytest.mark.parametrize("level, a, b", [
+        (level, a, b) for level in (1, 9)
+        for a, b in itertools.combinations(
+            [ell for lv, ell in HECKE_KEYS if lv == level], 2)])
+    def test_operators_commute(self, level, a, b):
+        # T_3 T_5 = T_5 T_3 on the level-1 rows, and likewise for every
+        # other pair of tabulated operators of one level
+        for n in range(512):
+            g = GenPoly(level, frozenset({n}))
+            assert hecke_on_genpoly(hecke_on_genpoly(g, a), b) == \
+                hecke_on_genpoly(hecke_on_genpoly(g, b), a), n
+
+    @pytest.mark.parametrize("level, ell", sorted(MODULAR_EQUATIONS))
+    def test_equation_holds_in_q_and_no_one_term_change_does(self, level, ell):
+        # Phi(g(q^ell), g(q)) = X^(ell+1) + sum_i e_i(g) X^(ell+1-i) at
+        # X = g(q^ell) vanishes on 5*10^4 coefficients; toggling any one
+        # g^j (j <= ell+1) in any e_i adds the term g^j X^(ell+1-i), which
+        # the identity then fails
+        n, gen = 50_000, level1._LEVEL_GENERATOR[level]
+        x = [substitute_qk(power_in_q(gen, m, -(-n // ell)), ell, n)
+             for m in range(ell + 2)]
+        terms = {(i, j): mul(power_in_q(gen, j, n), x[ell + 1 - i], n)
+                 for i in range(1, ell + 2) for j in range(ell + 2)}
+        phi = x[ell + 1]
+        for i, exponents in MODULAR_EQUATIONS[level, ell].items():
+            for j in exponents:
+                phi = add(phi, terms[i, j])
+        assert phi.is_zero()
+        for key, term in terms.items():
+            assert not add(phi, term).is_zero(), key
 
 
 class TestCodeMatrix:
@@ -205,6 +228,36 @@ class TestCodeMatrix:
         shifted = code_matrix(hecke_on_genpoly(f, 3), 4, 4)
         whole = code_matrix(f, 5, 4)
         assert np.array_equal(shifted, whole[1:, :])
+
+    def test_reads_no_q_series(self, monkeypatch):
+        # the code windows of the dihedral-code suite, with the generator
+        # powers in q and the Hecke operators on series made to raise
+        def refuse(*args):
+            raise AssertionError("a q-series was read")
+
+        for module, name in ((genforms, "power_in_q"), (level1, "power_in_q"),
+                             (hecke, "t_op"), (hecke, "u_op")):
+            monkeypatch.setattr(module, name, refuse)
+        for n in range(1, 5):
+            cm = code_matrix(GenPoly(1, frozenset({zn(n)})), 2**n + 1, 3)
+            assert cm[2**n - 1, 0] == 1 and cm.sum() == 1
+        for n in range(1, 4):
+            cm = code_matrix(GenPoly(1, frozenset({3 * zn(n)})), 2**n + 2, 3)
+            assert cm[2**n, 0] == 1 and cm.sum() == 1
+            cm = code_matrix(GenPoly(1, frozenset({wn(n)})), 3, 2**(n - 1) + 2)
+            assert cm[0, 2**(n - 1)] == 1 and cm.sum() == 1
+
+    def test_nicolas_serre_height_window(self):
+        # for odd k = sum_j beta_j 2^j, n_3 = sum_i beta_(2i-1) 2^(i-1) and
+        # n_5 = sum_i beta_(2i) 2^(i-1): the code of delta^k has a 1 at
+        # (n_3, n_5) and none past the height h = n_3 + n_5
+        for k in range(1, 1024, 2):
+            n3 = sum((k >> (2 * i - 1) & 1) << (i - 1) for i in range(1, 6))
+            n5 = sum((k >> (2 * i) & 1) << (i - 1) for i in range(1, 6))
+            h = n3 + n5
+            cm = code_matrix(GenPoly(1, frozenset({k})), h + 2, h + 2)
+            a, b = np.indices(cm.shape)
+            assert cm[n3, n5] == 1 and not cm[a + b > h].any(), k
 
     def test_column_shift_under_t5(self):
         # Y m(a,b) = m(a,b-1): applying T_5 shifts the code window one column
